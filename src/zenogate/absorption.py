@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import c as SPEED_OF_LIGHT
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Three layers, all in hbar/eps time units:
   doubly-occupied amplitudes and report the survival probability;
 * density-matrix evolution with two-photon absorption, where the states
   holding two photons in one core lose population at 1/tau_d into an
-  unmodeled quasi-continuum of excited atomic states.
+  unmodeled quasi-continuum of excited atomic states, solved exactly by
+  the non-Hermitian propagator.
 
 The absorption channel decays each doubly-occupied *amplitude* at
 1/(2 tau_d).  Matrix elements therefore decay at the sum of the amplitude
@@ -21,13 +22,13 @@ equivalently the equation of motion is
 
     drho/dt = -i (H_eff rho - rho H_eff^dag),   H_eff = H - (i/2) Gamma
 
-with Gamma diagonal.  Absorbed population leaves the simulated space and is
-tallied, never tracked.
+with Gamma diagonal.  Absorbed population leaves the simulated space; it
+is the trace that rho loses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,108 +163,37 @@ class DensityMatrix:
             raise ValueError(f"trace {self.trace()} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class EvolutionRecord:
-    """Sampled trajectory of an absorption run, for bookkeeping checks."""
-
-    times: np.ndarray
-    traces: np.ndarray
-    absorbed: np.ndarray  # cumulative probability lost to the sink
-
-
-def default_step(t: float, channel: AbsorptionChannel) -> float:
-    """Fixed RK4 step: resolve the fastest decay rate by 10x.
-
-    min(0.01, tau_d/10, t/1000); the tau_d term is dropped when the channel
-    is disabled (tau_d = inf).
-    """
-    candidates = [0.01, t / 1000.0]
-    if np.isfinite(channel.tau_d):
-        candidates.append(channel.tau_d / 10.0)
-    return min(candidates)
-
-
 def evolve_density_matrix(
-    h: np.ndarray,
-    rho0: DensityMatrix,
-    t: float,
-    channel: AbsorptionChannel,
-    dt: float | None = None,
-    with_record: bool = False,
-) -> DensityMatrix | tuple[DensityMatrix, EvolutionRecord]:
-    """Integrate drho/dt = -i[H, rho] - D(rho) with fixed-step RK4.
+    h: np.ndarray, rho0: DensityMatrix, t: float, channel: AbsorptionChannel
+) -> DensityMatrix:
+    """Solve drho/dt = -i (H_eff rho - rho H_eff^dag) exactly: V rho0 V^dag.
 
-    D applies rate 1/tau_d to absorbed-state populations and 1/(2 tau_d) to
-    each absorbed amplitude index (see module docstring).  The cumulative
-    absorbed probability is integrated alongside rho with the same RK4
-    stages, so trace(rho) + absorbed stays at 1 to integrator accuracy.
-
-    An explicit ``dt`` larger than min(0.01, tau_d/10) is rejected; the
-    final state is checked for positivity to 1e-6 as an integrator
-    diagnostic.
+    The equation has no jump term, so its solution for any rho0, pure or
+    mixed, is conjugation by V = :func:`absorption_propagator`.  The
+    absorbed probability is trace(rho0) - trace(rho).
     """
-    h = np.asarray(h, dtype=complex)
     rho0.validate()
     if t < 0:
         raise ValueError("duration must be nonnegative")
-
-    limit = 0.01 if not np.isfinite(channel.tau_d) else min(0.01, channel.tau_d / 10.0)
-    if dt is None:
-        dt = default_step(t, channel) if t > 0 else limit
-    elif dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds the stability limit min(0.01, tau_d/10)={limit}")
-
-    rates = channel.rate_vector(rho0.basis.dim)
-    # Elementwise decay table: entry (i, j) decays at (rates_i + rates_j)/2.
-    decay = 0.5 * (rates[:, None] + rates[None, :])
-
-    def rhs(rho):
-        return -1j * (h @ rho - rho @ h) - decay * rho
-
-    def absorbed_rate(rho):
-        return float(np.real(np.sum(rates * np.diag(rho))))
-
-    n_steps = max(1, int(np.ceil(t / dt))) if t > 0 else 0
-    step = t / n_steps if n_steps else 0.0
-
-    rho = rho0.matrix.copy()
-    absorbed = 0.0
-    times, traces, tallies = [0.0], [float(np.real(np.trace(rho)))], [0.0]
-    for k in range(n_steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * step * k1)
-        k3 = rhs(rho + 0.5 * step * k2)
-        k4 = rhs(rho + step * k3)
-        s1 = absorbed_rate(rho)
-        s2 = absorbed_rate(rho + 0.5 * step * k1)
-        s3 = absorbed_rate(rho + 0.5 * step * k2)
-        s4 = absorbed_rate(rho + step * k3)
-        rho = rho + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        absorbed += (step / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
-        if with_record:
-            times.append((k + 1) * step)
-            traces.append(float(np.real(np.trace(rho))))
-            tallies.append(absorbed)
-
-    result = DensityMatrix(rho0.basis, rho)
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if min_eig < -1e-6:
-        raise ValueError(f"integrator produced eigenvalue {min_eig} < -1e-6")
-    if not with_record:
-        return result
-    record = EvolutionRecord(np.array(times), np.array(traces), np.array(tallies))
-    return result, record
+    v = absorption_propagator(h, channel, t)
+    return DensityMatrix(rho0.basis, v @ rho0.matrix @ v.conj().T)
 
 
 def absorption_propagator(h: np.ndarray, channel: AbsorptionChannel, t: float) -> np.ndarray:
-    """exp(-i (H - i Gamma/2) t), the closed form behind the RK4 equation.
+    """V = exp(-i (H - i Gamma/2) t), the propagator of the master equation.
 
-    For a pure initial state the master equation above is exactly
-    rho(t) = V rho0 V^dag with this V, so the conditional (not-yet-absorbed)
-    state stays pure; the propagator doubles as an independent oracle for
-    the integrator and as the amplitude-level route used by gate extraction.
+    A pure state stays pure: the conditional (not-yet-absorbed) amplitudes
+    are V |psi0>, which keeps the phases gate extraction needs.  Raises
+    ValueError when tau_d is so short that the exponential is not finite in
+    double precision.
     """
     h = np.asarray(h, dtype=complex)
     gamma = channel.rate_vector(h.shape[0])
     h_eff = h - 0.5j * np.diag(gamma)
-    return matrix_exponential(h_eff, scale=-1j * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = matrix_exponential(h_eff, scale=-1j * t)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(
+            f"absorption propagator is not finite at tau_d={channel.tau_d:g}: too short for double precision"
+        )
+    return v

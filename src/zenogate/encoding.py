@@ -69,26 +69,34 @@ def exact_tree_failure(p: float) -> float:
     return 1.0 - (1.0 - f) ** 2
 
 
+# Rows of draws per chunk: the stream is the same as one (trials, 6) array,
+# but memory stays bounded whatever the trial count.
+CHUNK_ROWS = 2**16
+
+
 def monte_carlo_logical_failure(p: float, trials: int, seed: int) -> ThresholdReport:
     """Sample the event tree with a seeded PCG64 generator.
 
     Stage 1: the first physical CNOT fails with probability p; on failure
     the two corrective CNOTs each fail with probability p and either one is
     a terminal logical failure.  Stage 2 repeats the structure for the
-    second physical CNOT.  Same seed, same report, bit for bit.
+    second physical CNOT.  Draws come in chunks of ``CHUNK_ROWS`` trials.
+    Same seed, same report, bit for bit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    draws = rng.random((trials, 6))
-    fail1 = draws[:, 0] < p
-    stage1_fatal = fail1 & ((draws[:, 1] < p) | (draws[:, 2] < p))
-    fail2 = draws[:, 3] < p
-    stage2_fatal = fail2 & ((draws[:, 4] < p) | (draws[:, 5] < p))
-    logical = stage1_fatal | (~stage1_fatal & stage2_fatal)
-    estimate = float(np.count_nonzero(logical)) / trials
+    failures = 0
+    for start in range(0, trials, CHUNK_ROWS):
+        draws = rng.random((min(CHUNK_ROWS, trials - start), 6))
+        fail1 = draws[:, 0] < p
+        stage1_fatal = fail1 & ((draws[:, 1] < p) | (draws[:, 2] < p))
+        fail2 = draws[:, 3] < p
+        stage2_fatal = fail2 & ((draws[:, 4] < p) | (draws[:, 5] < p))
+        failures += int(np.count_nonzero(stage1_fatal | stage2_fatal))
+    estimate = failures / trials
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
     return ThresholdReport(
         analytic_p_logical=4.0 * p * p,

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import StateVector, double_occupancy_indices
-from .fock import FockBasis, coupling_hamiltonian, enumerate_basis, matrix_exponential
-from .gate import phased_swap_matrix
+from .dynamics import StateVector
+from .fock import FockState, matrix_exponential
+from .gate import phased_swap_matrix, run_discrete_protocol
 
 FERMION_OCCUPATIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -93,29 +93,24 @@ def evolve_fermions(epsilon: float, t: float, input_occupations) -> np.ndarray:
 def compare_to_zeno_photons(epsilon: float, t: float, n: int, input_occupations) -> float:
     """Max amplitude gap between free fermions and Zeno'd photons.
 
-    The photon side runs n equally spaced double-occupancy checks and keeps
-    the unnormalized post-selected survivor, so the gap includes the
-    amplitude lost to failed checks.  Single-particle inputs match to
-    machine precision at any n; for the doubly-occupied input the gap is
-    1 - cos^n(2 eps t / n), which vanishes as n grows.
+    The photon side runs n equally spaced double-occupancy checks
+    (:func:`~zenogate.gate.run_discrete_protocol` over the interaction
+    eps * t) and keeps the unnormalized post-selected survivor, so the gap
+    includes the amplitude lost to failed checks.  Single-particle inputs
+    match to machine precision at any n; for the doubly-occupied input the
+    gap is 1 - cos^n(2 eps t / n), which vanishes as n grows.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     occ = tuple(input_occupations)
     if any(q not in (0, 1) for q in occ):
         raise ValueError("input must have at most one particle per mode")
 
     fermion_vec = evolve_fermions(epsilon, t, occ)
-
-    basis = enumerate_basis(2, 2)
-    h = coupling_hamiltonian(epsilon, basis)
-    u_step = matrix_exponential(h, scale=-1j * t / n)
-    forbidden = list(double_occupancy_indices(basis))
-    psi = basis.unit_vector(occ)
-    for _ in range(n):
-        psi = u_step @ psi
-        psi[forbidden] = 0.0
-    boson_vec = psi[[basis.index_of(o) for o in FERMION_OCCUPATIONS]]
+    photons = run_discrete_protocol(n, FockState(occ), epsilon * t)
+    boson_vec = np.zeros(4, dtype=complex)
+    if photons.final_state is not None:
+        basis = photons.final_state.basis
+        survivor = math.sqrt(photons.success_probability) * photons.final_state.amplitudes
+        boson_vec = survivor[[basis.index_of(o) for o in FERMION_OCCUPATIONS]]
     return float(np.max(np.abs(fermion_vec - boson_vec)))
 
 

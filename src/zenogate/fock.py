@@ -56,6 +56,7 @@ class FockBasis:
     num_modes: int
     max_total: int
     states: tuple[FockState, ...] = field(init=False)
+    _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_modes < 1:
@@ -68,16 +69,17 @@ class FockBasis:
             if sum(occ) <= self.max_total
         )
         object.__setattr__(self, "states", tuple(FockState(o) for o in occs))
+        object.__setattr__(self, "_index", {occ: i for i, occ in enumerate(occs)})
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
     def index_of(self, occupations: tuple[int, ...]) -> int:
-        for i, s in enumerate(self.states):
-            if s.occupations == tuple(occupations):
-                return i
-        raise KeyError(f"{occupations} not in basis (max_total={self.max_total})")
+        try:
+            return self._index[tuple(occupations)]
+        except KeyError:
+            raise KeyError(f"{occupations} not in basis (max_total={self.max_total})") from None
 
     def occupation_array(self) -> np.ndarray:
         """(dim, num_modes) integer array of occupations, row i = state i."""

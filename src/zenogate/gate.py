@@ -21,6 +21,7 @@ an extra factor i on |1,1>.  Squaring it gives a swap with a sign flip on
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +32,7 @@ from .dynamics import (
     DensityMatrix,
     StateVector,
     absorption_propagator,
-    evolve_density_matrix,
-    evolve_state,
-    project_no_double_occupancy,
+    double_occupancy_indices,
 )
 from .fock import FockBasis, FockState, coupling_hamiltonian, enumerate_basis, matrix_exponential
 
@@ -44,10 +43,27 @@ OUTPUT_PHASE_PER_PHOTON = math.pi / 4
 # order used by every 4x4 matrix in this module.
 COMPUTATIONAL_OCCUPATIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# A survivor lighter than the roundoff of a unit-norm state is no survivor.
+_ROUNDOFF_WEIGHT = float(np.finfo(float).eps)
 
+
+@functools.cache
 def gate_basis() -> FockBasis:
     """Two modes, up to two photons: the full space the gate explores."""
     return enumerate_basis(2, 2)
+
+
+@functools.cache
+def _gate_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (H at eps = 1, kept-state mask, photon number) on the gate basis."""
+    basis = gate_basis()
+    h = coupling_hamiltonian(1.0, basis)
+    kept = np.ones(basis.dim, dtype=bool)
+    kept[list(double_occupancy_indices(basis))] = False
+    totals = np.array([s.total for s in basis.states])
+    for a in (h, kept, totals):
+        a.setflags(write=False)
+    return h, kept, totals
 
 
 @dataclass(frozen=True)
@@ -70,8 +86,7 @@ class ZenoProtocol:
         if not self.interaction_time > 0:
             raise ValueError("interaction_time must be positive")
         if self.kind == "discrete":
-            if self.n_measurements is None or self.n_measurements < 1:
-                raise ValueError("discrete protocol needs n_measurements >= 1")
+            _check_count(self.n_measurements)
         else:
             if self.tau_d is None or not self.tau_d > 0:
                 raise ValueError("absorption protocol needs tau_d > 0")
@@ -83,6 +98,11 @@ class ZenoProtocol:
     @classmethod
     def absorption(cls, tau_d: float, **kw) -> "ZenoProtocol":
         return cls(kind="absorption", tau_d=tau_d, **kw)
+
+
+def _check_count(n) -> None:
+    if n is None or not 1 <= n < math.inf or n != int(n):
+        raise ValueError(f"the discrete protocol needs an integer number of checks N >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -117,20 +137,49 @@ def apply_output_phase(psi: StateVector, phase_per_photon: float = OUTPUT_PHASE_
     return StateVector(psi.basis, psi.amplitudes * np.exp(1j * phase_per_photon * totals))
 
 
+def _evolve(
+    occupations: tuple[int, ...],
+    interaction_time: float,
+    n: int | None = None,
+    tau_d: float | None = None,
+) -> tuple[np.ndarray, float]:
+    """Unnormalized amplitudes after the whole interaction, and the success.
+
+    Works in the photon-number sector of the input alone.  A sector with no
+    checked state evolves as exp(-i H t) over the whole interaction and
+    succeeds with probability exactly 1.0.  Otherwise the sector runs ``n``
+    checks as (P U_step)^n, or two-photon absorption of decay time ``tau_d``
+    through :func:`~zenogate.dynamics.absorption_propagator`; a survivor
+    lighter than ``_ROUNDOFF_WEIGHT`` counts as none.
+    """
+    basis = gate_basis()
+    h, kept, totals = _gate_operators()
+    sector = np.flatnonzero(totals == sum(occupations))
+    column = list(sector).index(basis.index_of(occupations))
+    h_s, kept_s = h[np.ix_(sector, sector)], kept[sector]
+    watched = not kept_s.all()
+    if not watched:
+        block = matrix_exponential(h_s, scale=-1j * interaction_time)
+    elif n is not None:
+        u_step = matrix_exponential(h_s, scale=-1j * interaction_time / n)
+        block = np.linalg.matrix_power(kept_s[:, None] * u_step, int(n))
+    else:
+        channel = AbsorptionChannel(tau_d, tuple(int(i) for i in np.flatnonzero(~kept_s)))
+        block = absorption_propagator(h_s, channel, interaction_time)
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[sector] = block[:, column]
+    if not watched:
+        return amps, 1.0
+    success = float(np.vdot(amps, amps).real)
+    if success < _ROUNDOFF_WEIGHT:
+        return np.zeros_like(amps), 0.0
+    return amps, success
+
+
 @dataclass(frozen=True)
 class DiscreteRunResult:
-    step_successes: tuple[float, ...]
+    success_probability: float
     final_state: StateVector | None  # renormalized survivor; None if fully failed
-
-    @property
-    def success_probability(self) -> float:
-        return float(np.prod(self.step_successes))
-
-    def unnormalized_survivor(self, basis: FockBasis) -> np.ndarray:
-        """Survivor including the accumulated success amplitude."""
-        if self.final_state is None:
-            return np.zeros(basis.dim, dtype=complex)
-        return math.sqrt(self.success_probability) * self.final_state.amplitudes
 
 
 def run_discrete_protocol(
@@ -138,44 +187,29 @@ def run_discrete_protocol(
     input_state: FockState,
     interaction_time: float = HALF_TRANSFER_TIME,
 ) -> DiscreteRunResult:
-    """Alternate free evolution over t/N with double-occupancy checks, N times.
+    """N equally spaced double-occupancy checks over the interaction: (P U_step)^N.
 
-    Single-photon inputs never populate the checked states, so every step
-    success is exactly 1; the |1,1> input survives each check with
-    cos^2(pi/2N) and the product reproduces the closed form.
+    Single-photon inputs never reach a checked state, so their success is
+    exactly 1; the |1,1> input survives each check with cos^2(pi/2N) and
+    the product reproduces the closed form.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n)
     if any(q not in (0, 1) for q in input_state.occupations):
         raise ValueError("input must be a computational-basis state")
-    basis = gate_basis()
-    h = coupling_hamiltonian(1.0, basis)
-    u_step = matrix_exponential(h, scale=-1j * interaction_time / n)
-    psi = StateVector.basis_state(basis, input_state.occupations)
-    successes = []
-    for _ in range(n):
-        psi = StateVector(basis, u_step @ psi.amplitudes).normalized()
-        psi, p = project_no_double_occupancy(psi)
-        successes.append(p)
-        if psi is None:
-            successes.extend([0.0] * (n - len(successes)))
-            return DiscreteRunResult(tuple(successes), None)
-    return DiscreteRunResult(tuple(successes), psi)
+    amps, p = _evolve(input_state.occupations, interaction_time, n=n)
+    if p == 0.0:
+        return DiscreteRunResult(0.0, None)
+    return DiscreteRunResult(p, StateVector(gate_basis(), amps / math.sqrt(p)))
 
 
 def run_absorption_protocol(
     tau_d: float,
     input_state: FockState,
     interaction_time: float = HALF_TRANSFER_TIME,
-    dt: float | None = None,
 ) -> tuple[DensityMatrix, float]:
-    """Density-matrix run with two-photon absorption; returns (rho, survival)."""
-    basis = gate_basis()
-    h = coupling_hamiltonian(1.0, basis)
-    channel = AbsorptionChannel.for_basis(basis, tau_d)
-    rho0 = DensityMatrix.pure(StateVector.basis_state(basis, input_state.occupations))
-    rho = evolve_density_matrix(h, rho0, interaction_time, channel, dt=dt)
-    return rho, rho.trace()
+    """Unnormalized (not-yet-absorbed) density matrix and its survival."""
+    amps, survival = _evolve(input_state.occupations, interaction_time, tau_d=tau_d)
+    return DensityMatrix(gate_basis(), np.outer(amps, amps.conj())), survival
 
 
 def error_curve(
@@ -187,44 +221,25 @@ def error_curve(
 
     For the absorption family the abscissa is the matched measurement count
     N = t / (4 tau_d), i.e. each grid point N runs tau_d = t / (4 N); the
-    error is the absorbed probability 1 - trace.
+    error is the absorbed probability.  Discrete N must be an integer >= 1,
+    absorption N positive and finite.
     """
     values = list(n_values)
     if not values:
         raise ValueError("grid must be nonempty")
+    if kind not in ("discrete", "absorption"):
+        raise ValueError(f"unknown protocol family {kind!r}")
     rows = []
     for n in values:
         if kind == "discrete":
-            result = run_discrete_protocol(int(n), FockState((1, 1)), interaction_time)
-            rows.append((float(n), 1.0 - result.success_probability))
-        elif kind == "absorption":
+            survival = run_discrete_protocol(n, FockState((1, 1)), interaction_time).success_probability
+        else:
+            if not 0 < n < math.inf:
+                raise ValueError(f"the absorption protocol needs a positive finite matched N, got {n}")
             tau_d = interaction_time / (4.0 * float(n))
             _, survival = run_absorption_protocol(tau_d, FockState((1, 1)), interaction_time)
-            rows.append((float(n), 1.0 - survival))
-        else:
-            raise ValueError(f"unknown protocol family {kind!r}")
+        rows.append((float(n), 1.0 - survival))
     return rows
-
-
-def _conditional_absorption_state(
-    tau_d: float, input_state: FockState, interaction_time: float
-) -> tuple[StateVector | None, float]:
-    """Pure conditional state of the absorption run and its survival.
-
-    The no-jump master equation keeps pure inputs pure (see
-    :func:`zenogate.dynamics.absorption_propagator`), which preserves the
-    amplitude phases the 4x4 map needs; the RK4 route is cross-checked
-    against this propagator in the tests.
-    """
-    basis = gate_basis()
-    h = coupling_hamiltonian(1.0, basis)
-    channel = AbsorptionChannel.for_basis(basis, tau_d)
-    v = absorption_propagator(h, channel, interaction_time)
-    amps = v @ basis.unit_vector(input_state.occupations)
-    survival = float(np.linalg.norm(amps) ** 2)
-    if survival <= 0.0:
-        return None, 0.0
-    return StateVector(basis, amps / math.sqrt(survival)), survival
 
 
 def extract_gate(protocol: ZenoProtocol) -> GateReport:
@@ -240,20 +255,12 @@ def extract_gate(protocol: ZenoProtocol) -> GateReport:
     successes = []
     leakage = 0.0
     for col, occ in enumerate(COMPUTATIONAL_OCCUPATIONS):
-        if protocol.kind == "discrete":
-            result = run_discrete_protocol(
-                protocol.n_measurements, FockState(occ), protocol.interaction_time
-            )
-            state, p = result.final_state, result.success_probability
-        else:
-            state, p = _conditional_absorption_state(
-                protocol.tau_d, FockState(occ), protocol.interaction_time
-            )
+        amps, p = _evolve(occ, protocol.interaction_time, protocol.n_measurements, protocol.tau_d)
         successes.append(p)
-        if state is None:
+        if p == 0.0:
             leakage = max(leakage, 1.0)
             continue
-        state = apply_output_phase(state, protocol.output_phase)
+        state = apply_output_phase(StateVector(basis, amps / math.sqrt(p)), protocol.output_phase)
         column = state.amplitudes[comp_indices]
         m[:, col] = column
         in_basis = float(np.sum(np.abs(column) ** 2))
@@ -359,20 +366,23 @@ def compose_controlled_z() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _return_probability_curve(times, occupations) -> list[tuple[float, float]]:
+    """(t, |<occ| exp(-i H t) |occ>|^2) on the whole grid from one eigh of H."""
+    h, _, _ = _gate_operators()
+    energies, vectors = np.linalg.eigh(h)
+    weights = np.abs(vectors[gate_basis().index_of(occupations)]) ** 2
+    ts = np.fromiter(times, dtype=float)
+    probs = np.abs(np.exp(-1j * np.outer(ts, energies)) @ weights) ** 2
+    return [(float(t), float(p)) for t, p in zip(ts, probs)]
+
+
 def rabi_curve(times) -> list[tuple[float, float]]:
     """(t, P_1) for a single photon launched into core 1.
 
     The hopping Hamiltonian makes the photon oscillate between cores like a
     driven two-level atom: P_1(t) = cos^2(t).
     """
-    basis = gate_basis()
-    h = coupling_hamiltonian(1.0, basis)
-    psi0 = StateVector.basis_state(basis, (1, 0))
-    rows = []
-    for t in times:
-        psi = evolve_state(h, psi0, float(t))
-        rows.append((float(t), psi.probability((1, 0))))
-    return rows
+    return _return_probability_curve(times, (1, 0))
 
 
 def hom_curve(times) -> list[tuple[float, float]]:
@@ -381,11 +391,4 @@ def hom_curve(times) -> list[tuple[float, float]]:
     P_11(t) = cos^2(2t): at the half-transfer time pi/4 the photons always
     pair up in one core, the coupled-core version of the Hong-Ou-Mandel dip.
     """
-    basis = gate_basis()
-    h = coupling_hamiltonian(1.0, basis)
-    psi0 = StateVector.basis_state(basis, (1, 1))
-    rows = []
-    for t in times:
-        psi = evolve_state(h, psi0, float(t))
-        rows.append((float(t), psi.probability((1, 1))))
-    return rows
+    return _return_probability_curve(times, (1, 1))

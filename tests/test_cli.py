@@ -81,6 +81,14 @@ def test_zeno_sweep_absorption_matches_discrete(capsys):
     assert float(rows[0][1]) == pytest.approx(discrete, rel=0.03)
 
 
+@pytest.mark.parametrize("mode,n", [("discrete", "2.5"), ("absorption", "0")])
+def test_zeno_sweep_rejects_bad_n(mode, n, capsys):
+    code, out, err = run(["zeno-sweep", "--mode", mode, "--n-values", "10", n], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and n in err
+
+
 def test_gate_json_report(capsys):
     code, out, _ = run(["gate", "--n", "1000"], capsys)
     assert code == 0
@@ -107,6 +115,13 @@ def test_gate_requires_exactly_one_mode(capsys):
     assert "error:" in err
     code, _, err = run(["gate", "--n", "5", "--tau-d", "0.1"], capsys)
     assert code == 2
+
+
+def test_gate_rejects_unrepresentable_tau_d(capsys):
+    code, out, err = run(["gate", "--tau-d", "1e-300"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tau_d=1e-300" in err
 
 
 def test_gate_rejects_csv_format(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from zenogate.dynamics import (
     AbsorptionChannel,
@@ -132,25 +134,64 @@ def test_strong_absorption_matches_adiabatic_elimination(tau_d, rtol):
     assert abs(p11 - (1 - np.pi**2 / (4 * n_matched))) < 0.02
 
 
+def random_mixed_state(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    m = a @ a.conj().T
+    return DensityMatrix(BASIS, m / np.trace(m).real)
+
+
+def integrate_master_equation(h, rho0, t, channel):
+    """Independent oracle: drho/dt = -i (H_eff rho - rho H_eff^dag) with an
+    absorbed-probability tally d(absorbed)/dt = sum_i Gamma_i rho_ii,
+    integrated by an adaptive Runge-Kutta method.  Returns (rho, absorbed)."""
+    rates = channel.rate_vector(6)
+    h_eff = h - 0.5j * np.diag(rates)
+
+    def rhs(_, y):
+        rho = y[:36].reshape(6, 6)
+        drho = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+        return np.append(drho.ravel(), np.sum(rates * np.diag(rho)))
+
+    y0 = np.append(rho0.matrix.ravel(), 0.0).astype(complex)
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-12, atol=1e-13)
+    assert sol.success
+    y = sol.y[:, -1]
+    return y[:36].reshape(6, 6), float(y[36].real)
+
+
 def test_integrator_agrees_with_nonhermitian_propagator():
-    # rho(t) = V rho0 V^dag with V = exp(-i (H - i Gamma/2) t) is the exact
-    # solution; the RK4 route must land on it.
-    tau_d = 0.01
-    t = np.pi / 4
-    channel = AbsorptionChannel.for_basis(BASIS, tau_d)
-    rho = evolve_density_matrix(H, DensityMatrix.pure(ket((1, 1))), t, channel)
-    v = absorption_propagator(H, channel, t)
-    amps = v @ ket((1, 1)).amplitudes
-    assert np.max(np.abs(rho.matrix - np.outer(amps, amps.conj()))) < 1e-10
+    # V rho0 V^dag with V = exp(-i (H - i Gamma/2) t) is exact for mixed
+    # states too; an adaptive integrator of the same equation must land on it.
+    channel = AbsorptionChannel.for_basis(BASIS, 0.05)
+    rho0 = random_mixed_state(7)
+    rho = evolve_density_matrix(H, rho0, np.pi / 4, channel)
+    oracle, _ = integrate_master_equation(H, rho0, np.pi / 4, channel)
+    assert np.max(np.abs(rho.matrix - oracle)) < 1e-10
 
 
 def test_trace_plus_absorbed_is_one():
-    tau_d = 0.02
+    channel = AbsorptionChannel.for_basis(BASIS, 0.02)
+    rho0 = random_mixed_state(11)
+    rho = evolve_density_matrix(H, rho0, np.pi / 4, channel)
+    _, absorbed = integrate_master_equation(H, rho0, np.pi / 4, channel)
+    assert abs(rho.trace() + absorbed - 1.0) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tau_d=st.floats(1e-3, 1e3),
+    t1=st.floats(0.0, 3.0),
+    dt=st.floats(0.0, 3.0),
+)
+def test_trace_never_increases(seed, tau_d, t1, dt):
     channel = AbsorptionChannel.for_basis(BASIS, tau_d)
-    _, record = evolve_density_matrix(
-        H, DensityMatrix.pure(ket((1, 1))), np.pi / 4, channel, with_record=True
-    )
-    assert np.max(np.abs(record.traces + record.absorbed - 1.0)) < 1e-6
+    rho0 = random_mixed_state(seed)
+    early = evolve_density_matrix(H, rho0, t1, channel).trace()
+    late = evolve_density_matrix(H, rho0, t1 + dt, channel).trace()
+    assert late <= early + 1e-12
+    assert early <= rho0.trace() + 1e-12
 
 
 def test_hermiticity_preserved():
@@ -159,15 +200,14 @@ def test_hermiticity_preserved():
     assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-9
 
 
-def test_halving_dt_changes_little():
-    tau_d = 0.01
-    t = np.pi / 4
-    channel = AbsorptionChannel.for_basis(BASIS, tau_d)
-    rho0 = DensityMatrix.pure(ket((1, 1)))
-    dt = min(0.01, tau_d / 10, t / 1000)
-    r1 = evolve_density_matrix(H, rho0, t, channel, dt=dt)
-    r2 = evolve_density_matrix(H, rho0, t, channel, dt=dt / 2)
-    assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
+def test_split_interaction_composes():
+    # An exact propagator is a semigroup: two halves make the whole.
+    channel = AbsorptionChannel.for_basis(BASIS, 0.01)
+    rho0 = random_mixed_state(3)
+    half = evolve_density_matrix(H, rho0, np.pi / 8, channel)
+    twice = evolve_density_matrix(H, half, np.pi / 8, channel)
+    whole = evolve_density_matrix(H, rho0, np.pi / 4, channel)
+    assert np.max(np.abs(twice.matrix - whole.matrix)) < 1e-12
 
 
 def test_number_sector_coherences_stay_exactly_zero():
@@ -179,11 +219,17 @@ def test_number_sector_coherences_stay_exactly_zero():
     assert np.all(rho.matrix[cross_sector] == 0.0)
 
 
-def test_oversized_dt_is_rejected():
+def test_negative_duration_is_rejected():
     channel = AbsorptionChannel.for_basis(BASIS, 0.05)
     rho0 = DensityMatrix.pure(ket((1, 1)))
     with pytest.raises(ValueError):
-        evolve_density_matrix(H, rho0, 0.5, channel, dt=0.02)
+        evolve_density_matrix(H, rho0, -0.5, channel)
+
+
+def test_propagator_names_tau_d_when_not_finite():
+    channel = AbsorptionChannel.for_basis(BASIS, 1e-300)
+    with pytest.raises(ValueError, match="tau_d"):
+        absorption_propagator(H, channel, np.pi / 4)
 
 
 def test_channel_requires_positive_tau():

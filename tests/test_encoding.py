@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zenogate.encoding import (
+    CHUNK_ROWS,
     EncodingModel,
     analytic_logical_failure,
     concatenate,
@@ -129,3 +130,15 @@ def test_encoding_model_validation():
     EncodingModel(0.25)
     with pytest.raises(ValueError):
         EncodingModel(1.5)
+
+
+def test_chunked_draws_match_one_array():
+    # Reference: the whole (trials, 6) stream drawn at once.
+    p, seed = 0.2, 99
+    trials = 2 * CHUNK_ROWS + 12345
+    draws = np.random.default_rng(seed).random((trials, 6))
+    stage1 = (draws[:, 0] < p) & ((draws[:, 1] < p) | (draws[:, 2] < p))
+    stage2 = (draws[:, 3] < p) & ((draws[:, 4] < p) | (draws[:, 5] < p))
+    expected = int(np.count_nonzero(stage1 | stage2))
+    report = monte_carlo_logical_failure(p, trials, seed)
+    assert report.mc_estimate == expected / trials

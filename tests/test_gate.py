@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenogate.dynamics import StateVector
 from zenogate.fock import FockState, enumerate_basis
@@ -71,7 +72,7 @@ def test_discrete_single_measurement_destroys_two_photon_input():
 def test_discrete_single_photon_passes_untouched():
     for n in (1, 3, 17):
         result = run_discrete_protocol(n, FockState((1, 0)))
-        assert all(p == 1.0 for p in result.step_successes)
+        assert result.success_probability == 1.0
         amps = result.final_state.amplitudes
         assert amps[BASIS.index_of((1, 0))] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert amps[BASIS.index_of((0, 1))] == pytest.approx(-1j / np.sqrt(2), abs=1e-12)
@@ -132,6 +133,20 @@ def test_error_curve_rejects_empty_grid():
         error_curve("nope", [1])
 
 
+@pytest.mark.parametrize("kind,n", [("discrete", 2.5), ("discrete", 0), ("discrete", np.inf),
+                                    ("absorption", 0), ("absorption", -3.0), ("absorption", np.inf)])
+def test_error_curve_rejects_bad_n(kind, n):
+    with pytest.raises(ValueError, match="N"):
+        error_curve(kind, [n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10**5), step=st.integers(1, 1000))
+def test_discrete_error_is_monotone_in_n(n, step):
+    (_, fewer), (_, more) = error_curve("discrete", [n, n + step])
+    assert more < fewer
+
+
 # ---------------------------------------------------------------------------
 # output phases and gate extraction
 # ---------------------------------------------------------------------------
@@ -190,9 +205,36 @@ def test_extract_gate_absorption_route():
     assert 0.0 <= report.leakage - report.error_probability < 1e-5
 
 
+@pytest.mark.parametrize("protocol", [ZenoProtocol.discrete(5000), ZenoProtocol.absorption(1e-6)])
+def test_single_photon_success_is_exactly_one(protocol):
+    report = extract_gate(protocol)
+    assert report.success_probability_per_input[:3] == (1.0, 1.0, 1.0)
+
+
+def test_absorption_too_strong_to_represent_names_tau_d():
+    with pytest.raises(ValueError, match="tau_d"):
+        extract_gate(ZenoProtocol.absorption(1e-300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10**5), tau_d=st.floats(1e-6, 1e3))
+def test_conditional_map_columns_are_normalised(n, tau_d):
+    # Discrete survivors sit on computational states only; absorption
+    # survivors keep a residual double occupancy outside the 4x4 map.
+    for protocol in (ZenoProtocol.discrete(n), ZenoProtocol.absorption(tau_d)):
+        report = extract_gate(protocol)
+        norms = np.linalg.norm(report.conditional_map, axis=0)
+        assert np.all(norms <= 1.0 + 1e-12)
+        if protocol.kind == "discrete":
+            alive = np.array(report.success_probability_per_input) > 0.0
+            assert np.allclose(norms[alive], 1.0, atol=1e-12, rtol=0.0)
+
+
 def test_protocol_validation():
     with pytest.raises(ValueError):
         ZenoProtocol.discrete(0)
+    with pytest.raises(ValueError):
+        ZenoProtocol.discrete(2.5)
     with pytest.raises(ValueError):
         ZenoProtocol.absorption(0.0)
     with pytest.raises(ValueError):
