@@ -31,7 +31,6 @@ from .dynamics import (
     project_no_double_occupancy,
 )
 from .encoding import (
-    EncodingModel,
     ThresholdReport,
     analytic_logical_failure,
     concatenate,

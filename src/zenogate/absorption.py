@@ -155,19 +155,10 @@ def device_length(p_error_target: float, l2: float, finesse: float) -> tuple[flo
 
 
 # Parameter files are flat key=value lists in SI units with '#' comments.
-PARAM_KEYS = {
-    "wavelength": "wavelength",
-    "tau_r": "tau_r",
-    "tau_c": "tau_c",
-    "delta": "delta",
-    "m21": "m21",
-    "packet_length": "packet_length",
-    "core_diameter": "core_diameter",
-    "n_atoms": "n_atoms",
-    "finesse": "finesse",
-    "p_error_target": "p_error_target",
+OPTIONAL_KEYS = frozenset({"finesse", "p_error_target"})
+PARAM_KEYS = OPTIONAL_KEYS | {
+    "wavelength", "tau_r", "tau_c", "delta", "m21", "packet_length", "core_diameter", "n_atoms"
 }
-OPTIONAL_KEYS = {"finesse", "p_error_target"}
 
 
 def load_params_file(path) -> tuple[AbsorptionParams, float]:
@@ -196,7 +187,7 @@ def load_params_file(path) -> tuple[AbsorptionParams, float]:
                 raise ValueError(
                     f"{path}: line {lineno}: could not parse number {text.strip()!r}"
                 ) from None
-    missing = sorted(set(PARAM_KEYS) - OPTIONAL_KEYS - set(values))
+    missing = sorted(PARAM_KEYS - OPTIONAL_KEYS - values.keys())
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
     p_error_target = values.pop("p_error_target", 1.0)

@@ -24,26 +24,13 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class EncodingModel:
-    """Per-physical-CNOT failure probability; the correction policy is fixed
-    (replace the measured qubit, apply one corrective CNOT, no second-order
-    recovery within a level)."""
-
-    p_fail: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_fail <= 1.0:
-            raise ValueError("p_fail must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ThresholdReport:
     analytic_p_logical: float
     exact_tree_p_logical: float
     mc_estimate: float
     mc_stderr: float
     trials: int
-    seed: int
+    seed: int | tuple[int, ...]
 
 
 def analytic_logical_failure(p: float) -> float:
@@ -74,14 +61,15 @@ def exact_tree_failure(p: float) -> float:
 CHUNK_ROWS = 2**16
 
 
-def monte_carlo_logical_failure(p: float, trials: int, seed: int) -> ThresholdReport:
-    """Sample the event tree with a seeded PCG64 generator.
+def monte_carlo_logical_failure(p: float, trials: int, seed: int | tuple[int, ...]) -> ThresholdReport:
+    """Sample the event tree with a PCG64 generator seeded by ``seed``.
 
     Stage 1: the first physical CNOT fails with probability p; on failure
     the two corrective CNOTs each fail with probability p and either one is
     a terminal logical failure.  Stage 2 repeats the structure for the
     second physical CNOT.  Draws come in chunks of ``CHUNK_ROWS`` trials.
-    Same seed, same report, bit for bit.
+    ``seed`` is an int or a tuple of ints (the entropy of
+    ``np.random.default_rng``).  Same seed, same report, bit for bit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -124,9 +112,10 @@ def threshold_sweep(p_values, trials: int, seed: int) -> list[dict]:
     """Rows of analytic / exact-tree / Monte Carlo failure per grid point.
 
     ``below_threshold`` records the sign of P_logical - P_physical for the
-    analytic column, which flips at p = 1/4.  Each grid point draws from
-    its own generator seeded by (seed, index) so rows are independent and
-    reproducible regardless of grid order.
+    analytic column, which flips at p = 1/4.  Row i draws from its own
+    generator seeded by the pair (seed, i), so rows are independent of one
+    another and of every other seed's rows, and a rerun is identical.  The
+    ``seed`` column holds the base seed.
     """
     values = list(p_values)
     if not values:
@@ -136,7 +125,7 @@ def threshold_sweep(p_values, trials: int, seed: int) -> list[dict]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             analytic = analytic_logical_failure(p)
-        report = monte_carlo_logical_failure(p, trials, seed + i)
+        report = monte_carlo_logical_failure(p, trials, (seed, i))
         rows.append(
             {
                 "p": float(p),
@@ -145,7 +134,7 @@ def threshold_sweep(p_values, trials: int, seed: int) -> list[dict]:
                 "mc_estimate": report.mc_estimate,
                 "mc_stderr": report.mc_stderr,
                 "trials": trials,
-                "seed": seed + i,
+                "seed": seed,
                 "below_threshold": analytic < p,
             }
         )

@@ -81,10 +81,6 @@ class FockBasis:
         except KeyError:
             raise KeyError(f"{occupations} not in basis (max_total={self.max_total})") from None
 
-    def occupation_array(self) -> np.ndarray:
-        """(dim, num_modes) integer array of occupations, row i = state i."""
-        return np.array([s.occupations for s in self.states], dtype=int)
-
     def unit_vector(self, occupations: tuple[int, ...]) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
         vec[self.index_of(occupations)] = 1.0

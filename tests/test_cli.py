@@ -142,6 +142,14 @@ def test_fermion_report(capsys):
     assert np.allclose(identity[:, :, 0], np.eye(4)) and np.allclose(identity[:, :, 1], 0)
 
 
+def test_fermion_report_at_vanishing_tau_d(capsys):
+    code, out, _ = run(["fermion-report", "--tau-d", "1e-300", "--tau", "1.0", "--n", "10"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["anticommutator_deviation"] == 0.0
+    assert results["cross_commutator_deviation"] == 0.0
+
+
 def test_rate_canonical_point(tmp_path, capsys):
     from scipy.constants import c
 
@@ -193,6 +201,21 @@ def test_threshold_deterministic_across_runs(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_threshold_rows_are_independent_across_seeds(tmp_path):
+    def rows(seed, name):
+        path = tmp_path / name
+        argv = ["threshold", "--p-values", "0.3", "0.3", "--trials", "5000", "--seed", str(seed)]
+        assert main(argv + ["--out", str(path)]) == 0
+        text = path.read_bytes()
+        return text, [line.split(",") for line in text.decode().splitlines() if line[0] != "#"][1:]
+
+    first, seed1 = rows(1, "a.csv")
+    again, _ = rows(1, "b.csv")
+    _, seed2 = rows(2, "c.csv")
+    assert first == again
+    assert seed1[1][3] != seed2[0][3]  # mc_estimate of row 1, seed 1 vs row 0, seed 2
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -5,7 +5,6 @@ import pytest
 
 from zenogate.encoding import (
     CHUNK_ROWS,
-    EncodingModel,
     analytic_logical_failure,
     concatenate,
     exact_tree_failure,
@@ -127,9 +126,27 @@ def test_threshold_sweep_rejects_empty_grid():
 
 
 def test_encoding_model_validation():
-    EncodingModel(0.25)
+    # The per-CNOT failure probability must lie in [0, 1] in every entry point.
+    for fn in (analytic_logical_failure, exact_tree_failure):
+        fn(0.25)
+        with pytest.raises(ValueError):
+            fn(1.5)
+    monte_carlo_logical_failure(0.25, 10, 0)
     with pytest.raises(ValueError):
-        EncodingModel(1.5)
+        monte_carlo_logical_failure(1.5, 10, 0)
+
+
+def test_threshold_rows_draw_independent_streams():
+    # Row i draws from (seed, i): row 1 of seed 1 is not row 0 of seed 2,
+    # as it was with seed + i, and a rerun repeats every row exactly.
+    p = 0.3
+    seed1 = threshold_sweep([p, p], trials=10**4, seed=1)
+    seed2 = threshold_sweep([p, p], trials=10**4, seed=2)
+    assert seed1[1]["mc_estimate"] != seed2[0]["mc_estimate"]
+    assert seed1[0]["mc_estimate"] != seed1[1]["mc_estimate"]
+    assert threshold_sweep([p, p], trials=10**4, seed=1) == seed1
+    assert seed1[1]["mc_estimate"] == monte_carlo_logical_failure(p, 10**4, (1, 1)).mc_estimate
+    assert [row["seed"] for row in seed1] == [1, 1]
 
 
 def test_chunked_draws_match_one_array():

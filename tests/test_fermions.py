@@ -1,13 +1,18 @@
+import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenogate.dynamics import StateVector
 from zenogate.fock import coupling_hamiltonian, enumerate_basis
 from zenogate.fermions import (
     DressedOperatorSpec,
     FermionBasis,
+    _exp_divided_difference,
     anticommutator_report,
     compare_to_zeno_photons,
     device_phased_swap,
@@ -35,6 +40,52 @@ def revival_coefficient(tau_d, tau):
     """
     beta = 1.0 / (2.0 * tau_d)
     return 2.0 * (1.0 - math.exp(-beta * tau)) ** 2 / (beta * tau) ** 2
+
+
+def _dressed_grid(spec, two_mode, gen, times):
+    op = spec.schroedinger_matrix()
+    if two_mode:
+        eye = np.eye(3)
+        op = np.kron(op, eye) if spec.mode == 1 else np.kron(eye, op)
+    left = np.exp(1j * np.conj(gen)[None, :] * times[:, None])
+    right = np.exp(-1j * gen[None, :] * times[:, None])
+    return left[:, :, None] * op[None, :, :] * right[:, None, :]
+
+
+def trapezoid_product(a, b, tau, num_points):
+    """Independent oracle: the ordered double average on a uniform trapezoid grid.
+
+    (2/tau^2) int_0^tau dt' A(t') int_0^t' dt'' B(t''), with the dressed
+    operators tabulated as exp(i H0^dag t) op exp(-i H0 t) at every grid
+    time; cross-fiber products are dressed by the full two-fiber generator.
+    The error is O(h^2) with an even expansion in h.
+    """
+    two_mode = a.mode != b.mode
+    if two_mode:
+        gens = {s.mode: s.generator_diagonal() for s in (a, b)}
+        gen = np.kron(gens[1], np.ones(3)) + np.kron(np.ones(3), gens[2])
+    else:
+        gen = a.generator_diagonal()
+    times = np.linspace(0.0, tau, num_points)
+    h = times[1]
+    a_grid = _dressed_grid(a, two_mode, gen, times)
+    b_grid = _dressed_grid(b, two_mode, gen, times)
+    inner = np.zeros_like(b_grid)
+    np.cumsum(0.5 * h * (b_grid[1:] + b_grid[:-1]), axis=0, out=inner[1:])
+    integrand = a_grid @ inner
+    outer = h * (0.5 * integrand[0] + integrand[1:-1].sum(axis=0) + 0.5 * integrand[-1])
+    return (2.0 / tau**2) * outer
+
+
+def richardson_product(a, b, tau, num_points):
+    """Trapezoid oracle at h and h/2, Richardson-extrapolated to O(h^4)."""
+    fine = trapezoid_product(a, b, tau, 2 * num_points - 1)
+    return (4.0 * fine - trapezoid_product(a, b, tau, num_points)) / 3.0
+
+
+ALL_SPEC_PAIRS = list(
+    itertools.product(itertools.product(("annihilation", "creation"), (1, 2)), repeat=2)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +281,92 @@ def test_cross_fiber_commutator_vanishes_on_allowed_subspace():
     assert rep.cross_commutator_deviation < 1e-6
 
 
-def test_quadrature_convergence_diagnostic_raises():
+@pytest.mark.parametrize("tau_d, num_points", [(0.5, 201), (1e-2, 2001), (1e-3, 8001)])
+def test_closed_form_matches_trapezoid_oracle(tau_d, num_points):
+    # Every same- and cross-fiber ordered product; the extrapolated grid is
+    # fine enough that its own error sits near 3e-11.
+    for (wa, ma), (wb, mb) in ALL_SPEC_PAIRS:
+        a = DressedOperatorSpec(wa, ma, tau_d)
+        b = DressedOperatorSpec(wb, mb, tau_d)
+        exact = time_averaged_product(a, b, 1.0)
+        assert np.max(np.abs(exact - richardson_product(a, b, 1.0, num_points))) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from(ALL_SPEC_PAIRS),
+    log_tau_d=st.floats(-2.0, 2.0),
+    tau=st.floats(0.1, 1.0),
+)
+def test_closed_form_matches_oracle_property(pair, log_tau_d, tau):
+    # tau_d ranges past tau, where the nodes crowd the origin.
+    (wa, ma), (wb, mb) = pair
+    a = DressedOperatorSpec(wa, ma, 10.0**log_tau_d)
+    b = DressedOperatorSpec(wb, mb, 10.0**log_tau_d)
+    exact = time_averaged_product(a, b, tau)
+    assert np.max(np.abs(exact - richardson_product(a, b, tau, 1001))) < 1e-9
+
+
+def gauss_divided_difference(x1, x2, order=48):
+    """Independent oracle for exp[0, x1, x2] by tensor Gauss-Legendre.
+
+    exp[0, x1, x2] = int_0^1 ds s e^(x1 s) int_0^1 dv e^((x2 - x1) s v);
+    every term is positive, and for nodes down to -80 the rule of order 48
+    is exact to rounding.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    s, w = (nodes + 1.0) / 2.0, weights / 2.0
+    inner = np.exp((x2 - x1) * np.outer(s, s)) @ w
+    return float(np.sum(w * s * np.exp(x1 * s) * inner))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x1=st.floats(-40.0, 0.0),
+    gap=st.one_of(st.just(0.0), st.floats(-40.0, 0.0), st.floats(-1e-6, 0.0)),
+)
+def test_divided_difference_matches_gauss_oracle(x1, gap):
+    # Equal, near-equal and distant nodes, and nodes on both sides of -1
+    # (the switch between the Taylor series and the closed form).
+    x2 = x1 + gap
+    got = _exp_divided_difference(np.array([x1]), np.array([x2]))[0]
+    assert got == pytest.approx(gauss_divided_difference(x1, x2), rel=1e-13)
+
+
+@pytest.mark.parametrize("tau_d", [1e-6, 1e-12, 1e-300, 5e-324])
+def test_report_is_finite_as_tau_d_vanishes(tau_d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = anticommutator_report(tau_d, 1.0)
+    assert np.all(np.isfinite(rep.anticommutator))
+    assert np.all(np.isfinite(rep.cross_commutator))
+    # The re-emission revival is 8 (tau_d/tau)^2 here (e^(-tau/2 tau_d)
+    # underflows); below ~1e-8 it drops under the resolution of 1 + deviation.
+    assert rep.anticommutator_deviation == pytest.approx(8.0 * tau_d**2, abs=1e-15)
+    assert rep.cross_commutator_deviation == 0.0
+    if tau_d < 1e-12:
+        assert rep.anticommutator_deviation == 0.0
+
+
+def test_report_memory_is_bounded():
+    anticommutator_report(1e-6, 1.0)  # first call pays any lazy set-up
+    tracemalloc.start()
+    try:
+        anticommutator_report(1e-6, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_time_average_rejects_bad_window():
     ann = DressedOperatorSpec("annihilation", 1, 0.01)
     cre = DressedOperatorSpec("creation", 1, 0.01)
-    with pytest.raises(RuntimeError):
-        time_averaged_product(ann, cre, 1.0, num_points=9)
+    for tau in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            time_averaged_product(ann, cre, tau)
+    with pytest.raises(ValueError):
+        time_averaged_product(ann, DressedOperatorSpec("creation", 1, 0.02), 1.0)
 
 
 def test_spec_validation():
