@@ -41,7 +41,6 @@ from .encoding import (
 from .fermions import (
     AnticommutatorReport,
     DressedOperatorSpec,
-    FermionBasis,
     anticommutator_report,
     compare_to_zeno_photons,
     dressed_operator,

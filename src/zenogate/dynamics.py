@@ -60,12 +60,6 @@ class StateVector:
     def probability(self, occupations: tuple[int, ...]) -> float:
         return float(abs(self.amplitudes[self.basis.index_of(occupations)]) ** 2)
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return StateVector(self.basis, self.amplitudes / n)
-
 
 def double_occupancy_indices(basis: FockBasis) -> tuple[int, ...]:
     """Indices of basis states with two or more photons in a single mode."""
@@ -122,10 +116,9 @@ class AbsorptionChannel:
         return cls(tau_d=tau_d, absorbed_indices=double_occupancy_indices(basis))
 
     def rate_vector(self, dim: int) -> np.ndarray:
-        """Per-state population decay rates (1/tau_d on absorbed states)."""
+        """Per-state population decay rates (1/tau_d on absorbed states, 0 at tau_d = inf)."""
         rates = np.zeros(dim)
-        if np.isfinite(self.tau_d):
-            rates[list(self.absorbed_indices)] = 1.0 / self.tau_d
+        rates[list(self.absorbed_indices)] = 1.0 / self.tau_d
         return rates
 
 
@@ -153,13 +146,14 @@ class DensityMatrix:
         i = self.basis.index_of(occupations)
         return float(np.real(self.matrix[i, i]))
 
-    def validate(self, herm_tol: float = 1e-10, eig_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        """Hermitian to 1e-10, eigenvalues and trace within 1e-9 of [0, 1]."""
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > herm_tol:
+        if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -eig_tol:
+        if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -1e-9:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-        if not -eig_tol <= self.trace() <= 1.0 + eig_tol:
+        if not -1e-9 <= self.trace() <= 1.0 + 1e-9:
             raise ValueError(f"trace {self.trace()} outside [0, 1]")
 
 

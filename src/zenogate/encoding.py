@@ -71,10 +71,10 @@ def monte_carlo_logical_failure(p: float, trials: int, seed: int | tuple[int, ..
     ``seed`` is an int or a tuple of ints (the entropy of
     ``np.random.default_rng``).  Same seed, same report, bit for bit.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     failures = 0
     for start in range(0, trials, CHUNK_ROWS):
@@ -122,10 +122,8 @@ def threshold_sweep(p_values, trials: int, seed: int) -> list[dict]:
         raise ValueError("grid must be nonempty")
     rows = []
     for i, p in enumerate(values):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            analytic = analytic_logical_failure(p)
         report = monte_carlo_logical_failure(p, trials, (seed, i))
+        analytic = report.analytic_p_logical
         rows.append(
             {
                 "p": float(p),

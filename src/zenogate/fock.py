@@ -153,5 +153,6 @@ def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return scipy.linalg.expm(scale * m)
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol * max(1.0, np.max(np.abs(m))))
+def is_hermitian(m: np.ndarray) -> bool:
+    """Hermitian to 1e-10 relative to the largest entry (absolute below 1)."""
+    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(m))))

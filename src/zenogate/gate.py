@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    AbsorptionChannel,
-    DensityMatrix,
-    StateVector,
-    absorption_propagator,
-    double_occupancy_indices,
-)
+from .dynamics import AbsorptionChannel, StateVector, absorption_propagator, double_occupancy_indices
 from .fock import FockBasis, FockState, coupling_hamiltonian, enumerate_basis, matrix_exponential
 
 HALF_TRANSFER_TIME = math.pi / 4
@@ -68,7 +62,7 @@ def _gate_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ZenoProtocol:
-    """Configuration of one gate run.
+    """Configuration of one gate run over the half-transfer time.
 
     ``kind`` selects discrete projective checks (``n_measurements``) or
     continuous two-photon absorption (``tau_d``).
@@ -77,14 +71,10 @@ class ZenoProtocol:
     kind: str
     n_measurements: int | None = None
     tau_d: float | None = None
-    interaction_time: float = HALF_TRANSFER_TIME
-    output_phase: float = OUTPUT_PHASE_PER_PHOTON
 
     def __post_init__(self):
         if self.kind not in ("discrete", "absorption"):
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if not self.interaction_time > 0:
-            raise ValueError("interaction_time must be positive")
         if self.kind == "discrete":
             _check_count(self.n_measurements)
         else:
@@ -92,12 +82,12 @@ class ZenoProtocol:
                 raise ValueError("absorption protocol needs tau_d > 0")
 
     @classmethod
-    def discrete(cls, n: int, **kw) -> "ZenoProtocol":
-        return cls(kind="discrete", n_measurements=n, **kw)
+    def discrete(cls, n: int) -> "ZenoProtocol":
+        return cls(kind="discrete", n_measurements=n)
 
     @classmethod
-    def absorption(cls, tau_d: float, **kw) -> "ZenoProtocol":
-        return cls(kind="absorption", tau_d=tau_d, **kw)
+    def absorption(cls, tau_d: float) -> "ZenoProtocol":
+        return cls(kind="absorption", tau_d=tau_d)
 
 
 def _check_count(n) -> None:
@@ -131,10 +121,10 @@ def closed_form_error(n: int) -> float:
     return 1.0 - math.cos(math.pi / (2 * n)) ** (2 * n)
 
 
-def apply_output_phase(psi: StateVector, phase_per_photon: float = OUTPUT_PHASE_PER_PHOTON) -> StateVector:
-    """Phase shifter on each output port: amplitude *= exp(i phase n_total)."""
+def apply_output_phase(psi: StateVector) -> StateVector:
+    """pi/4 phase shifter on each output port: amplitude *= exp(i pi/4 n_total)."""
     totals = np.array([s.total for s in psi.basis.states])
-    return StateVector(psi.basis, psi.amplitudes * np.exp(1j * phase_per_photon * totals))
+    return StateVector(psi.basis, psi.amplitudes * np.exp(1j * OUTPUT_PHASE_PER_PHOTON * totals))
 
 
 def _evolve(
@@ -176,53 +166,44 @@ def _evolve(
     return amps, success
 
 
-@dataclass(frozen=True)
-class DiscreteRunResult:
-    success_probability: float
-    final_state: StateVector | None  # renormalized survivor; None if fully failed
-
-
 def run_discrete_protocol(
     n: int,
     input_state: FockState,
     interaction_time: float = HALF_TRANSFER_TIME,
-) -> DiscreteRunResult:
+) -> tuple[StateVector, float]:
     """N equally spaced double-occupancy checks over the interaction: (P U_step)^N.
 
-    Single-photon inputs never reach a checked state, so their success is
-    exactly 1; the |1,1> input survives each check with cos^2(pi/2N) and
-    the product reproduces the closed form.
+    Returns the unnormalized post-selected survivor and its success
+    probability; a fully failed run is an all-zero survivor with success
+    0.0.  Single-photon inputs never reach a checked state, so their
+    success is exactly 1; the |1,1> input survives each check with
+    cos^2(pi/2N) and the product reproduces the closed form.
     """
     _check_count(n)
     if any(q not in (0, 1) for q in input_state.occupations):
         raise ValueError("input must be a computational-basis state")
     amps, p = _evolve(input_state.occupations, interaction_time, n=n)
-    if p == 0.0:
-        return DiscreteRunResult(0.0, None)
-    return DiscreteRunResult(p, StateVector(gate_basis(), amps / math.sqrt(p)))
+    return StateVector(gate_basis(), amps), p
 
 
-def run_absorption_protocol(
-    tau_d: float,
-    input_state: FockState,
-    interaction_time: float = HALF_TRANSFER_TIME,
-) -> tuple[DensityMatrix, float]:
-    """Unnormalized (not-yet-absorbed) density matrix and its survival."""
-    amps, survival = _evolve(input_state.occupations, interaction_time, tau_d=tau_d)
-    return DensityMatrix(gate_basis(), np.outer(amps, amps.conj())), survival
+def run_absorption_protocol(tau_d: float, input_state: FockState) -> tuple[StateVector, float]:
+    """Two-photon absorption of decay time tau_d over the half-transfer time.
+
+    Returns the unnormalized not-yet-absorbed survivor and its survival
+    probability, in the same shape as :func:`run_discrete_protocol`.
+    """
+    amps, survival = _evolve(input_state.occupations, HALF_TRANSFER_TIME, tau_d=tau_d)
+    return StateVector(gate_basis(), amps), survival
 
 
-def error_curve(
-    kind: str,
-    n_values,
-    interaction_time: float = HALF_TRANSFER_TIME,
-) -> list[tuple[float, float]]:
+def error_curve(kind: str, n_values) -> list[tuple[float, float]]:
     """(N, P_E) rows for either protocol family.
 
-    For the absorption family the abscissa is the matched measurement count
-    N = t / (4 tau_d), i.e. each grid point N runs tau_d = t / (4 N); the
-    error is the absorbed probability.  Discrete N must be an integer >= 1,
-    absorption N positive and finite.
+    Both run over the half-transfer time t = pi/4.  For the absorption
+    family the abscissa is the matched measurement count N = t / (4 tau_d),
+    i.e. each grid point N runs tau_d = t / (4 N); the error is the
+    absorbed probability.  Discrete N must be an integer >= 1, absorption
+    N positive and finite.
     """
     values = list(n_values)
     if not values:
@@ -232,12 +213,12 @@ def error_curve(
     rows = []
     for n in values:
         if kind == "discrete":
-            survival = run_discrete_protocol(n, FockState((1, 1)), interaction_time).success_probability
+            _, survival = run_discrete_protocol(n, FockState((1, 1)))
         else:
             if not 0 < n < math.inf:
                 raise ValueError(f"the absorption protocol needs a positive finite matched N, got {n}")
-            tau_d = interaction_time / (4.0 * float(n))
-            _, survival = run_absorption_protocol(tau_d, FockState((1, 1)), interaction_time)
+            tau_d = HALF_TRANSFER_TIME / (4.0 * float(n))
+            _, survival = run_absorption_protocol(tau_d, FockState((1, 1)))
         rows.append((float(n), 1.0 - survival))
     return rows
 
@@ -255,12 +236,12 @@ def extract_gate(protocol: ZenoProtocol) -> GateReport:
     successes = []
     leakage = 0.0
     for col, occ in enumerate(COMPUTATIONAL_OCCUPATIONS):
-        amps, p = _evolve(occ, protocol.interaction_time, protocol.n_measurements, protocol.tau_d)
+        amps, p = _evolve(occ, HALF_TRANSFER_TIME, protocol.n_measurements, protocol.tau_d)
         successes.append(p)
         if p == 0.0:
             leakage = max(leakage, 1.0)
             continue
-        state = apply_output_phase(StateVector(basis, amps / math.sqrt(p)), protocol.output_phase)
+        state = apply_output_phase(StateVector(basis, amps / math.sqrt(p)))
         column = state.amplitudes[comp_indices]
         m[:, col] = column
         in_basis = float(np.sum(np.abs(column) ** 2))
@@ -281,28 +262,21 @@ def extract_gate(protocol: ZenoProtocol) -> GateReport:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_swap_matrix() -> np.ndarray:
-    """Standard square root of swap."""
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
-            [0, (1 - 1j) / 2, (1 + 1j) / 2, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
-
-
 def phased_sqrt_swap_matrix() -> np.ndarray:
     """The gate the device converges to: sqrt(swap) with an extra i on |11>.
 
     The i is the residue of the pi/4-per-photon output phase acting on the
     Zeno-frozen two-photon input.
     """
-    m = sqrt_swap_matrix()
-    m[3, 3] = 1j
-    return m
+    return np.array(
+        [
+            [1, 0, 0, 0],
+            [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
+            [0, (1 - 1j) / 2, (1 + 1j) / 2, 0],
+            [0, 0, 0, 1j],
+        ],
+        dtype=complex,
+    )
 
 
 def phased_swap_matrix() -> np.ndarray:

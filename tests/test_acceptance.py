@@ -61,10 +61,10 @@ def test_criterion_02_hom_dip():
 def test_criterion_03_discrete_zeno_curve():
     worst = 0.0
     for n in range(1, 201):
-        sim = 1 - run_discrete_protocol(n, FockState((1, 1))).success_probability
+        sim = 1 - run_discrete_protocol(n, FockState((1, 1)))[1]
         worst = max(worst, abs(sim - closed_form_error(n)))
     n_big = 1000
-    sim_big = 1 - run_discrete_protocol(n_big, FockState((1, 1))).success_probability
+    sim_big = 1 - run_discrete_protocol(n_big, FockState((1, 1)))[1]
     scaled = n_big * sim_big
     scaled_ok = abs(scaled - np.pi**2 / 4) < 0.02 * np.pi**2 / 4
     report(3, worst < 1e-10 and scaled_ok, f"max closed-form gap = {worst:.2e}, N*P_E(1000) = {scaled:.4f}")

@@ -11,7 +11,6 @@ from zenogate.dynamics import StateVector
 from zenogate.fock import coupling_hamiltonian, enumerate_basis
 from zenogate.fermions import (
     DressedOperatorSpec,
-    FermionBasis,
     _exp_divided_difference,
     anticommutator_report,
     compare_to_zeno_photons,
@@ -26,9 +25,9 @@ from zenogate.fermions import (
     no_go_demo,
     time_averaged_product,
 )
-from zenogate.gate import controlled_z_matrix, phased_swap_matrix
+from zenogate.gate import COMPUTATIONAL_OCCUPATIONS, controlled_z_matrix, phased_swap_matrix
 
-FB = FermionBasis()
+INDEX = COMPUTATIONAL_OCCUPATIONS.index
 
 
 def revival_coefficient(tau_d, tau):
@@ -120,7 +119,7 @@ def test_creation_anticommutator_across_modes():
 def test_single_particle_block_matches_bosons():
     eps = 1.3
     hf = fermion_hamiltonian(eps)
-    single = [FB.index_of((0, 1)), FB.index_of((1, 0))]
+    single = [INDEX((0, 1)), INDEX((1, 0))]
     block = hf[np.ix_(single, single)]
     assert np.allclose(block, eps * np.array([[0, 1], [1, 0]]), atol=1e-15)
 
@@ -138,19 +137,19 @@ def test_single_particle_block_matches_bosons():
 def test_single_fermion_transfers_like_a_photon():
     vec = evolve_fermions(1.0, np.pi / 2, (1, 0))
     expected = np.zeros(4, dtype=complex)
-    expected[FB.index_of((0, 1))] = -1j
+    expected[INDEX((0, 1))] = -1j
     assert np.max(np.abs(vec - expected)) < 1e-12
 
 
 def test_double_occupied_pair_is_frozen():
     for t in (0.1, 1.0, np.pi):
         vec = evolve_fermions(1.0, t, (1, 1))
-        assert abs(vec[FB.index_of((1, 1))] - 1.0) < 1e-12
+        assert abs(vec[INDEX((1, 1))] - 1.0) < 1e-12
 
 
 def test_zero_time_identity():
     vec = evolve_fermions(1.0, 0.0, (0, 1))
-    assert np.array_equal(vec, FB.unit_vector((0, 1)))
+    assert np.array_equal(vec, np.eye(4)[INDEX((0, 1))])
 
 
 def test_single_particle_agreement_at_any_measurement_count():
@@ -176,8 +175,8 @@ def test_two_particle_agreement_improves_with_zeno_strength():
 
 
 def test_fermionic_interchange_flips_double_occupancy():
-    out = mode_interchange(FB.unit_vector((1, 1)), "fermion")
-    assert out[FB.index_of((1, 1))] == -1.0
+    out = mode_interchange(np.eye(4)[INDEX((1, 1))], "fermion")
+    assert out[INDEX((1, 1))] == -1.0
 
 
 def test_bosonic_interchange_keeps_sign():
@@ -190,8 +189,8 @@ def test_bosonic_interchange_keeps_sign():
 
 def test_single_particle_interchange_is_statistics_blind():
     for stats in ("boson", "fermion"):
-        out = mode_interchange(FB.unit_vector((1, 0)), stats)
-        assert out[FB.index_of((0, 1))] == 1.0
+        out = mode_interchange(np.eye(4)[INDEX((1, 0))], stats)
+        assert out[INDEX((0, 1))] == 1.0
 
 
 def test_no_go_fermionic_composition_is_identity():
@@ -241,6 +240,21 @@ def test_dressed_reemission_amplitude_decays():
     m = dressed_operator(spec, 0.1)
     assert abs(m[2, 1]) == pytest.approx(math.sqrt(2) * math.exp(-0.1 / 0.02), rel=1e-12)
     assert m[1, 0] == 1.0  # the allowed emission is untouched
+
+
+@pytest.mark.parametrize("tau_d", [1e-300, 5e-324])
+def test_dressed_operator_is_finite_as_tau_d_vanishes(tau_d):
+    # At 5e-324 the decay rate 1/(2 tau_d) overflows to inf.
+    spec = DressedOperatorSpec("creation", 1, tau_d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bare = dressed_operator(spec, 0.0)
+        later = [dressed_operator(spec, t) for t in (0.1, 10.0)]
+    assert bare[2, 1] == math.sqrt(2.0)
+    assert bare[1, 0] == 1.0
+    for m in later:
+        assert m[2, 1] == 0.0
+        assert m[1, 0] == 1.0
 
 
 def test_time_averaged_number_identities():

@@ -42,8 +42,8 @@ def test_closed_form_single_measurement_always_fails():
 def test_closed_form_two_measurements():
     # Brute force: two survival factors of cos^2(pi/4) each.
     assert closed_form_error(2) == pytest.approx(0.75, abs=1e-15)
-    sim = run_discrete_protocol(2, FockState((1, 1)))
-    assert 1 - sim.success_probability == pytest.approx(0.75, abs=1e-12)
+    _, success = run_discrete_protocol(2, FockState((1, 1)))
+    assert 1 - success == pytest.approx(0.75, abs=1e-12)
 
 
 def test_closed_form_large_n_scaling():
@@ -64,23 +64,23 @@ def test_scaled_error_converges_monotonically():
 
 
 def test_discrete_single_measurement_destroys_two_photon_input():
-    result = run_discrete_protocol(1, FockState((1, 1)))
-    assert result.success_probability == 0.0
-    assert result.final_state is None
+    survivor, success = run_discrete_protocol(1, FockState((1, 1)))
+    assert success == 0.0
+    assert not np.any(survivor.amplitudes)
 
 
 def test_discrete_single_photon_passes_untouched():
     for n in (1, 3, 17):
-        result = run_discrete_protocol(n, FockState((1, 0)))
-        assert result.success_probability == 1.0
-        amps = result.final_state.amplitudes
+        survivor, success = run_discrete_protocol(n, FockState((1, 0)))
+        assert success == 1.0
+        amps = survivor.amplitudes
         assert amps[BASIS.index_of((1, 0))] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert amps[BASIS.index_of((0, 1))] == pytest.approx(-1j / np.sqrt(2), abs=1e-12)
 
 
 def test_discrete_success_matches_closed_form_over_full_range():
     for n in range(1, 201):
-        sim = 1 - run_discrete_protocol(n, FockState((1, 1))).success_probability
+        sim = 1 - run_discrete_protocol(n, FockState((1, 1)))[1]
         assert abs(sim - closed_form_error(n)) < 1e-10
 
 
@@ -101,9 +101,9 @@ def test_absorption_single_photon_never_decays():
 
 
 def test_absorption_weak_limit_reproduces_hom_loss():
-    rho, survival = run_absorption_protocol(np.inf, FockState((1, 1)))
+    psi, survival = run_absorption_protocol(np.inf, FockState((1, 1)))
     assert survival == pytest.approx(1.0, abs=1e-10)
-    assert rho.population((1, 1)) < 1e-12  # the coincidence dip at t = pi/4
+    assert psi.probability((1, 1)) < 1e-12  # the coincidence dip at t = pi/4
 
 
 def test_absorption_error_tracks_discrete_closed_form():
