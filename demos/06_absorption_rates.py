@@ -11,9 +11,8 @@ mirrors of finesse f shrink the needed device length by f^2.
 
 import math
 
-from scipy.constants import c
-
 from zenogate import AbsorptionParams, device_length, two_photon_rate, unity_mode_check
+from zenogate.absorption import SPEED_OF_LIGHT
 
 wavelength = 500e-9
 tau_r = 16.7e-9
@@ -25,7 +24,7 @@ params = AbsorptionParams(
     tau_c=tau_c,
     delta=1.0,
     m21=0.1,  # f_delta = 0.01, cancelled by n_atoms = 100
-    packet_length=c * tau_c,  # f_C * f_P = 1
+    packet_length=SPEED_OF_LIGHT * tau_c,  # f_C * f_P = 1
     core_diameter=wavelength * math.sqrt(6.0) / math.pi,  # sigma0/A = 1
     n_atoms=100.0,
 )

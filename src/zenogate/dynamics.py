@@ -176,10 +176,14 @@ def evolve_density_matrix(
 def absorption_propagator(h: np.ndarray, channel: AbsorptionChannel, t: float) -> np.ndarray:
     """V = exp(-i (H - i Gamma/2) t), the propagator of the master equation.
 
-    A pure state stays pure: the conditional (not-yet-absorbed) amplitudes
-    are V |psi0>, which keeps the phases gate extraction needs.  Raises
-    ValueError when tau_d is so short that the exponential is not finite in
-    double precision.
+    A pure state stays pure: the not-yet-absorbed amplitudes are V |psi0>.
+    This is the full-space route: any H and channel, with the non-Hermitian
+    exponential taken by ``scipy.linalg.expm`` (through
+    :func:`~zenogate.fock.matrix_exponential`).  The gate runs its own
+    closed-form two-photon block instead, so the two stay independent
+    checks of each other.  Raises ValueError when tau_d is so short that
+    the exponential is not finite in double precision (below about
+    tau_d = 1e-39 at t = pi/4).
     """
     h = np.asarray(h, dtype=complex)
     gamma = channel.rate_vector(h.shape[0])

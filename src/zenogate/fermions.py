@@ -26,13 +26,14 @@ exponentially instead of switching the re-emission amplitude off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import StateVector
-from .fock import FockState, matrix_exponential
+from .fock import FockState
 from .gate import COMPUTATIONAL_OCCUPATIONS, phased_swap_matrix, run_discrete_protocol, swap_matrix
 
 
@@ -67,10 +68,22 @@ def fermion_hamiltonian(epsilon: float) -> np.ndarray:
     return epsilon * (b1d @ b2 + b2d @ b1)
 
 
+def _fermion_propagator(theta: float) -> np.ndarray:
+    """exp(-i theta H / eps) on the computational basis, written out.
+
+    |0,0> and |1,1> are fixed; the single-particle pair (|0,1>, |1,0>)
+    turns by cos(theta) I - i sin(theta) sigma_x.  At theta = 0 it is
+    exactly the identity.
+    """
+    u = np.eye(4, dtype=complex)
+    pair = [COMPUTATIONAL_OCCUPATIONS.index(occ) for occ in ((0, 1), (1, 0))]
+    u[np.ix_(pair, pair)] = [[math.cos(theta), -1j * math.sin(theta)], [-1j * math.sin(theta), math.cos(theta)]]
+    return u
+
+
 def evolve_fermions(epsilon: float, t: float, input_occupations) -> np.ndarray:
     """exp(-i H t) applied to a computational basis state (hbar = 1)."""
-    u = matrix_exponential(fermion_hamiltonian(epsilon), scale=-1j * t)
-    return u[:, COMPUTATIONAL_OCCUPATIONS.index(tuple(input_occupations))]
+    return _fermion_propagator(epsilon * t)[:, COMPUTATIONAL_OCCUPATIONS.index(tuple(input_occupations))]
 
 
 def compare_to_zeno_photons(epsilon: float, t: float, n: int, input_occupations) -> float:
@@ -137,7 +150,7 @@ def device_phased_swap() -> np.ndarray:
     effect; for Zeno'd photons it is the same matrix in the strong-
     measurement limit (the conditional-map tests cover that route).
     """
-    u = matrix_exponential(fermion_hamiltonian(1.0), scale=-1j * math.pi / 2)
+    u = _fermion_propagator(math.pi / 2)
     totals = np.array([sum(occ) for occ in COMPUTATIONAL_OCCUPATIONS])
     phases = np.exp(1j * (math.pi / 2) * totals)
     return phases[:, None] * u
@@ -272,6 +285,40 @@ def _exp_divided_difference(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.where(near, ((y1 @ _TAYLOR) * y2).sum(axis=1), far)
 
 
+def _operands(a: DressedOperatorSpec, b: DressedOperatorSpec):
+    """(op_a, op_b, alpha, beta): the matrices of A B and their real exponent tables.
+
+    Same-fiber products act on the 3-level ladder, cross-fiber products on
+    the 9-dimensional two-mode space, where the full two-fiber generator
+    dresses both operators.
+    """
+    two_mode = a.mode != b.mode
+    if not two_mode and a.tau_d != b.tau_d:
+        raise ValueError("same-fiber operators must share tau_d")
+    op_a, gen_a = _embed(a, two_mode)
+    op_b, gen_b = _embed(b, two_mode)
+    if two_mode:
+        gen_a = gen_b = gen_a + gen_b
+    return op_a, op_b, _exponents(gen_a).real, _exponents(gen_b).real
+
+
+def _nonzero_triples(op_a: np.ndarray, op_b: np.ndarray):
+    """(i, j, k, 2 a_ij b_jk) over the triples with a_ij b_jk != 0, the only ones that contribute."""
+    i, j, k = np.nonzero(op_a[:, :, None] * op_b[None, :, :])
+    return i, j, k, 2.0 * op_a[i, j] * op_b[j, k]
+
+
+def _nodes(alpha: np.ndarray, beta: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (alpha tau, (alpha + beta) tau) of the divided difference.
+
+    Exponents are floored at -max/4 per unit tau so that no sum of two
+    overflows; e^x and phi1(x) are both below 1e-307 there.
+    """
+    floor = -np.finfo(float).max / 4 / max(tau, 1.0)
+    x1 = tau * np.maximum(alpha, floor)
+    return x1, x1 + tau * np.maximum(beta, floor)
+
+
 def time_averaged_product(a: DressedOperatorSpec, b: DressedOperatorSpec, tau: float) -> np.ndarray:
     """Time-averaged ordered product of two dressed operators over [0, tau].
 
@@ -286,25 +333,42 @@ def time_averaged_product(a: DressedOperatorSpec, b: DressedOperatorSpec, tau: f
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    two_mode = a.mode != b.mode
-    if not two_mode and a.tau_d != b.tau_d:
-        raise ValueError("same-fiber operators must share tau_d")
-
-    op_a, gen_a = _embed(a, two_mode)
-    op_b, gen_b = _embed(b, two_mode)
-    if two_mode:
-        gen_a = gen_b = gen_a + gen_b  # full two-fiber generator dresses both operators
-    alpha, beta = _exponents(gen_a).real, _exponents(gen_b).real
-    # Only the triples with a_ij b_jk != 0 contribute.  Nodes are floored
-    # at -max/4 so that no sum of two overflows; e^x and phi1(x) are both
-    # below 1e-307 there.
-    i, j, k = np.nonzero(op_a[:, :, None] * op_b[None, :, :])
-    floor = -np.finfo(float).max / 4 / max(tau, 1.0)
-    x1 = tau * np.maximum(alpha[i, j], floor)
-    x2 = x1 + tau * np.maximum(beta[j, k], floor)
+    op_a, op_b, alpha, beta = _operands(a, b)
+    i, j, k, coef = _nonzero_triples(op_a, op_b)
+    x1, x2 = _nodes(alpha[i, j], beta[j, k], tau)
     out = np.zeros_like(op_a)
-    np.add.at(out, (i, k), 2.0 * op_a[i, j] * op_b[j, k] * _exp_divided_difference(x1, x2))
+    np.add.at(out, (i, k), coef * _exp_divided_difference(x1, x2))
     return out
+
+
+# The ordered products of anticommutator_report: A A^dag and A^dag A on
+# fiber 1, then A_1 A_2^dag and A_2^dag A_1 across the fibers.
+_REPORT_PRODUCTS = (
+    (("annihilation", 1), ("creation", 1)),
+    (("creation", 1), ("annihilation", 1)),
+    (("annihilation", 1), ("creation", 2)),
+    (("creation", 2), ("annihilation", 1)),
+)
+
+
+@functools.cache
+def _report_table() -> tuple[np.ndarray, ...]:
+    """Nonzero triples of the four report products, concatenated and read-only.
+
+    Rows are (product, i, k, 2 a_ij b_jk, count_ij, count_jk).  Every
+    exponent of the report is a count times the rate -1/(2 tau_d), the
+    count being how many doubly occupied levels the element's two indices
+    hold, so the table is read off at unit rate (tau_d = 1/2) once.
+    """
+    columns = []
+    for p, (a_key, b_key) in enumerate(_REPORT_PRODUCTS):
+        op_a, op_b, alpha, beta = _operands(DressedOperatorSpec(*a_key, 0.5), DressedOperatorSpec(*b_key, 0.5))
+        i, j, k, coef = _nonzero_triples(op_a, op_b)
+        columns.append((np.full(i.size, p), i, k, coef, -alpha[i, j].astype(int), -beta[j, k].astype(int)))
+    table = tuple(np.concatenate(c) for c in zip(*columns))
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 ALLOWED_TWO_MODE_INDICES = (0, 1, 3, 4)  # (0,0), (0,1), (1,0), (1,1) at 3*n1+n2
@@ -335,16 +399,23 @@ def anticommutator_report(tau_d: float, tau: float) -> AnticommutatorReport:
     """
     if not tau_d < tau:
         raise ValueError("requires tau_d < tau")
-    ann = DressedOperatorSpec("annihilation", 1, tau_d)
-    cre = DressedOperatorSpec("creation", 1, tau_d)
-    anti = time_averaged_product(ann, cre, tau) + time_averaged_product(cre, ann, tau)
+    if not tau_d > 0:
+        raise ValueError("tau_d must be positive")
+    if not tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    product, i, k, coef, count_a, count_b = _report_table()
+    # Exponent of count c: -c/(2 tau_d).  The rate is inf below about
+    # tau_d = 2.8e-309, so count 0 is a literal 0.0 (0 * inf is NaN).
+    with np.errstate(over="ignore"):
+        rate = np.float64(0.5) / tau_d
+        levels = np.array([0.0, -rate, -2 * rate, -3 * rate, -4 * rate])
+    x1, x2 = _nodes(levels[count_a], levels[count_b], tau)
+    out = np.zeros((len(_REPORT_PRODUCTS), 9, 9), dtype=complex)
+    np.add.at(out, (product, i, k), coef * _exp_divided_difference(x1, x2))
+    anti = out[0, :3, :3] + out[1, :3, :3]
     deviation = float(np.max(np.abs(anti[:2, :2] - np.eye(2))))
-
-    ann1 = DressedOperatorSpec("annihilation", 1, tau_d)
-    cre2 = DressedOperatorSpec("creation", 2, tau_d)
-    cross_full = time_averaged_product(ann1, cre2, tau) - time_averaged_product(cre2, ann1, tau)
     idx = list(ALLOWED_TWO_MODE_INDICES)
-    cross = cross_full[np.ix_(idx, idx)]
+    cross = (out[2] - out[3])[np.ix_(idx, idx)]
     return AnticommutatorReport(
         anticommutator=anti,
         anticommutator_deviation=deviation,

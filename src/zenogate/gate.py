@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AbsorptionChannel, StateVector, absorption_propagator, double_occupancy_indices
-from .fock import FockBasis, FockState, coupling_hamiltonian, enumerate_basis, matrix_exponential
+from .dynamics import StateVector
+from .fock import FockBasis, FockState, coupling_hamiltonian, enumerate_basis
 
 HALF_TRANSFER_TIME = math.pi / 4
 OUTPUT_PHASE_PER_PHOTON = math.pi / 4
@@ -47,17 +47,37 @@ def gate_basis() -> FockBasis:
     return enumerate_basis(2, 2)
 
 
+@dataclass(frozen=True)
+class _Sector:
+    """One photon-number sector of H (eps = 1): H_s = V diag(energies) V^dag.
+
+    ``indices`` are its positions in :func:`gate_basis`; ``kept`` marks the
+    states no check removes.  Arrays are read-only.
+    """
+
+    indices: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+    kept: np.ndarray
+
+
 @functools.cache
-def _gate_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (H at eps = 1, kept-state mask, photon number) on the gate basis."""
+def _sector(total: int) -> _Sector:
+    """The sector of ``total`` photons, diagonalised once per process."""
     basis = gate_basis()
-    h = coupling_hamiltonian(1.0, basis)
-    kept = np.ones(basis.dim, dtype=bool)
-    kept[list(double_occupancy_indices(basis))] = False
-    totals = np.array([s.total for s in basis.states])
-    for a in (h, kept, totals):
+    indices = np.array([i for i, s in enumerate(basis.states) if s.total == total])
+    h = coupling_hamiltonian(1.0, basis)[np.ix_(indices, indices)]
+    energies, vectors = np.linalg.eigh(h)
+    kept = np.array([max(basis.states[i].occupations) < 2 for i in indices])
+    for a in (indices, energies, vectors, kept):
         a.setflags(write=False)
-    return h, kept, totals
+    return _Sector(indices, energies, vectors, kept)
+
+
+def _locate(occupations: tuple[int, ...]) -> tuple[_Sector, int]:
+    """The sector holding a basis state, and the state's position in it."""
+    sector = _sector(sum(occupations))
+    return sector, list(sector.indices).index(gate_basis().index_of(occupations))
 
 
 @dataclass(frozen=True)
@@ -127,6 +147,40 @@ def apply_output_phase(psi: StateVector) -> StateVector:
     return StateVector(psi.basis, psi.amplitudes * np.exp(1j * OUTPUT_PHASE_PER_PHOTON * totals))
 
 
+def _absorption_block(tau_d: float, t: float) -> tuple[complex, complex]:
+    """Not-yet-absorbed amplitudes of |1,1> on (|1,1>, bright) after time t.
+
+    In the two-photon sector the dark state (|2,0> - |0,2>)/sqrt2 only
+    decays, and |1,1> has no part in it.  |1,1> and the bright state
+    (|2,0> + |0,2>)/sqrt2 span the block A = -i t [[0, 2], [2, -i/(2 tau_d)]],
+    whose exponential is e^mu (cosh d I + sinh(d)/d (A - mu I)) with
+    mu = -t/(4 tau_d) and d^2 = mu^2 - 4 t^2 (D. S. Bernstein and W. So,
+    IEEE TAC 38, 1228 (1993)).  For d > 1 it is written through
+    e^(mu +- d) with mu + d = 4 t^2/(mu - d) = -16 t tau_d/(1 + s) and
+    s = d/|mu| = sqrt(1 - 64 tau_d^2), which is finite for every
+    tau_d > 0; otherwise d is at most 1 or imaginary (tau_d > 1/8) and
+    cosh d and sinh(d)/d are evaluated as they stand.
+    """
+    rho = 1.0 / (4.0 * tau_d)  # -mu/t: 0 at tau_d = inf, inf below about 1e-308
+    # rho - 2, without cancellation near the exceptional point tau_d = 1/8
+    # and without inf * 0 at tau_d = inf
+    gap = (1.0 - 8.0 * tau_d) * rho if tau_d < 1.0 else rho - 2.0
+    d_sq = t * t * gap * (rho + 2.0)
+    if d_sq > 1.0:
+        s = math.sqrt((1.0 - 8.0 * tau_d) * (1.0 + 8.0 * tau_d))
+        e_plus = math.exp(-16.0 * t * tau_d / (1.0 + s))
+        e_minus = math.exp(-t * rho * (1.0 + s))
+        diff = e_plus - e_minus
+        return 0.5 * (e_plus + e_minus) + 0.5 * diff / s, -4j * tau_d * diff / s
+    r = math.sqrt(abs(d_sq))
+    if d_sq >= 0.0:
+        cosh, sinhc = math.cosh(r), (math.sinh(r) / r if r > 0.0 else 1.0)
+    else:
+        cosh, sinhc = math.cos(r), math.sin(r) / r
+    decay = math.exp(-t * rho)
+    return decay * (cosh + t * rho * sinhc), -2j * t * decay * sinhc
+
+
 def _evolve(
     occupations: tuple[int, ...],
     interaction_time: float,
@@ -135,31 +189,36 @@ def _evolve(
 ) -> tuple[np.ndarray, float]:
     """Unnormalized amplitudes after the whole interaction, and the success.
 
-    Works in the photon-number sector of the input alone.  A sector with no
-    checked state evolves as exp(-i H t) over the whole interaction and
-    succeeds with probability exactly 1.0.  Otherwise the sector runs ``n``
-    checks as (P U_step)^n, or two-photon absorption of decay time ``tau_d``
-    through :func:`~zenogate.dynamics.absorption_propagator`; a survivor
-    lighter than ``_ROUNDOFF_WEIGHT`` counts as none.
+    The one place where runner inputs are checked: a computational input,
+    and either an integer ``n >= 1`` or ``tau_d > 0``.  Works in the
+    photon-number sector of the input alone, from its cached spectrum.  A
+    sector with no checked state is the column V diag(exp(-i t w)) V^dag[:, k]
+    and succeeds with probability exactly 1.0.  In the two-photon sector the
+    only kept state is |1,1>, so ``n`` checks give (P U_step)^n |1,1> =
+    U_kk^n |1,1> with U_kk = <1,1| V diag(exp(-i t w / n)) V^dag |1,1>, and
+    absorption of decay time ``tau_d`` is :func:`_absorption_block`.  A
+    survivor lighter than ``_ROUNDOFF_WEIGHT`` counts as none.
     """
-    basis = gate_basis()
-    h, kept, totals = _gate_operators()
-    sector = np.flatnonzero(totals == sum(occupations))
-    column = list(sector).index(basis.index_of(occupations))
-    h_s, kept_s = h[np.ix_(sector, sector)], kept[sector]
-    watched = not kept_s.all()
-    if not watched:
-        block = matrix_exponential(h_s, scale=-1j * interaction_time)
-    elif n is not None:
-        u_step = matrix_exponential(h_s, scale=-1j * interaction_time / n)
-        block = np.linalg.matrix_power(kept_s[:, None] * u_step, int(n))
-    else:
-        channel = AbsorptionChannel(tau_d, tuple(int(i) for i in np.flatnonzero(~kept_s)))
-        block = absorption_propagator(h_s, channel, interaction_time)
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[sector] = block[:, column]
-    if not watched:
+    occupations = tuple(occupations)
+    if occupations not in COMPUTATIONAL_OCCUPATIONS:
+        raise ValueError("input must be a computational-basis state")
+    if n is not None:
+        _check_count(n)
+    elif not tau_d > 0:
+        raise ValueError(f"the absorption protocol needs tau_d > 0, got {tau_d}")
+    sector, k = _locate(occupations)
+    amps = np.zeros(gate_basis().dim, dtype=complex)
+    if sector.kept.all():
+        phases = np.exp(-1j * interaction_time * sector.energies)
+        amps[sector.indices] = sector.vectors @ (phases * sector.vectors[k].conj())
         return amps, 1.0
+    if n is not None:
+        weights = np.abs(sector.vectors[k]) ** 2
+        step = 1.0 + complex(weights @ np.expm1(-1j * (interaction_time / n) * sector.energies))
+        amps[sector.indices[k]] = step ** int(n)
+    else:
+        kept, bright = _absorption_block(tau_d, interaction_time)
+        amps[sector.indices] = np.where(sector.kept, kept, bright / math.sqrt(2.0))
     success = float(np.vdot(amps, amps).real)
     if success < _ROUNDOFF_WEIGHT:
         return np.zeros_like(amps), 0.0
@@ -179,9 +238,6 @@ def run_discrete_protocol(
     success is exactly 1; the |1,1> input survives each check with
     cos^2(pi/2N) and the product reproduces the closed form.
     """
-    _check_count(n)
-    if any(q not in (0, 1) for q in input_state.occupations):
-        raise ValueError("input must be a computational-basis state")
     amps, p = _evolve(input_state.occupations, interaction_time, n=n)
     return StateVector(gate_basis(), amps), p
 
@@ -341,13 +397,12 @@ def compose_controlled_z() -> np.ndarray:
 
 
 def _return_probability_curve(times, occupations) -> list[tuple[float, float]]:
-    """(t, |<occ| exp(-i H t) |occ>|^2) on the whole grid from one eigh of H."""
-    h, _, _ = _gate_operators()
-    energies, vectors = np.linalg.eigh(h)
-    weights = np.abs(vectors[gate_basis().index_of(occupations)]) ** 2
+    """(t, |<occ| exp(-i H t) |occ>|^2) on the whole grid from the cached sector spectrum."""
+    sector, k = _locate(occupations)
+    weights = np.abs(sector.vectors[k]) ** 2
     ts = np.fromiter(times, dtype=float)
-    probs = np.abs(np.exp(-1j * np.outer(ts, energies)) @ weights) ** 2
-    return [(float(t), float(p)) for t, p in zip(ts, probs)]
+    probs = np.abs(np.exp(-1j * np.outer(ts, sector.energies)) @ weights) ** 2
+    return list(zip(ts.tolist(), probs.tolist()))
 
 
 def rabi_curve(times) -> list[tuple[float, float]]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zenogate.dynamics import StateVector
-from zenogate.fock import coupling_hamiltonian, enumerate_basis
+from zenogate.fock import coupling_hamiltonian, enumerate_basis, matrix_exponential
 from zenogate.fermions import (
     DressedOperatorSpec,
     _exp_divided_difference,
@@ -150,6 +150,13 @@ def test_double_occupied_pair_is_frozen():
 def test_zero_time_identity():
     vec = evolve_fermions(1.0, 0.0, (0, 1))
     assert np.array_equal(vec, np.eye(4)[INDEX((0, 1))])
+
+
+@pytest.mark.parametrize("eps,t", [(1.0, 0.3), (1.0, np.pi / 4), (2.5, 1.7), (0.7, -4.0)])
+def test_written_out_propagator_matches_hamiltonian_exponential(eps, t):
+    u = matrix_exponential(fermion_hamiltonian(eps), scale=-1j * t)
+    for col, occ in enumerate(COMPUTATIONAL_OCCUPATIONS):
+        assert np.max(np.abs(evolve_fermions(eps, t, occ) - u[:, col])) < 1e-14
 
 
 def test_single_particle_agreement_at_any_measurement_count():
@@ -360,6 +367,21 @@ def test_report_is_finite_as_tau_d_vanishes(tau_d):
     assert rep.cross_commutator_deviation == 0.0
     if tau_d < 1e-12:
         assert rep.anticommutator_deviation == 0.0
+
+
+@pytest.mark.parametrize("tau_d", [1e-2, 1e-6, 1e-300, 5e-324])
+def test_report_matches_per_product_averages_bit_for_bit(tau_d):
+    # The report evaluates its four products from one shared table; each
+    # must be exactly what time_averaged_product gives on its own.
+    tau = 1.0
+    ann, cre = DressedOperatorSpec("annihilation", 1, tau_d), DressedOperatorSpec("creation", 1, tau_d)
+    cre2 = DressedOperatorSpec("creation", 2, tau_d)
+    anti = time_averaged_product(ann, cre, tau) + time_averaged_product(cre, ann, tau)
+    cross = time_averaged_product(ann, cre2, tau) - time_averaged_product(cre2, ann, tau)
+    idx = [0, 1, 3, 4]
+    rep = anticommutator_report(tau_d, tau)
+    assert np.array_equal(rep.anticommutator, anti)
+    assert np.array_equal(rep.cross_commutator, cross[np.ix_(idx, idx)])
 
 
 def test_report_memory_is_bounded():

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,39 @@ def test_discrete_rejects_non_computational_input():
 # ---------------------------------------------------------------------------
 # absorption protocol
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "tau_d,occupations",
+    [(-1.0, (1, 0)), (np.nan, (0, 0)), (0.0, (1, 1)), (0.1, (2, 0)), (0.1, (1, 1, 0))],
+)
+def test_absorption_rejects_bad_inputs(tau_d, occupations):
+    with pytest.raises(ValueError):
+        run_absorption_protocol(tau_d, FockState(occupations))
+
+
+def _mpmath_two_photon_column(tau_d, dps=60):
+    """|1,1> column of exp(-i (H - i Gamma/2) t) on the two-photon sector at dps digits; t = pi/4 in double."""
+    with mpmath.workdps(dps):
+        t, g = mpmath.mpf(math.pi) / 4, mpmath.mpf(1) / (2 * mpmath.mpf(tau_d))
+        r2 = mpmath.sqrt(2)
+        # sector order |0,2>, |1,1>, |2,0>
+        h_eff = mpmath.matrix([[-1j * g, r2, 0], [r2, 0, r2], [0, r2, -1j * g]])
+        v = mpmath.expm(-1j * t * h_eff)
+        return [v[i, 1] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "tau_d", [1e-12, 1e-9, 1e-6, 1.96e-4, 1e-3, 0.01, 0.1, 0.124, 0.125, 0.125 + 1e-9, 0.126, 0.5, 1.0, 10.0]
+)
+def test_absorption_block_matches_mpmath(tau_d):
+    psi, survival = run_absorption_protocol(tau_d, FockState((1, 1)))
+    got = [psi.amplitudes[BASIS.index_of(occ)] for occ in ((0, 2), (1, 1), (2, 0))]
+    want = _mpmath_two_photon_column(tau_d)
+    for g, w in zip(got, want):
+        assert abs(mpmath.mpc(g) - w) <= 1e-13 * abs(w)
+    exact_survival = sum(abs(w) ** 2 for w in want)
+    assert abs(survival - exact_survival) <= 1e-13 * exact_survival
 
 
 def test_absorption_single_photon_never_decays():
@@ -211,9 +246,14 @@ def test_single_photon_success_is_exactly_one(protocol):
     assert report.success_probability_per_input[:3] == (1.0, 1.0, 1.0)
 
 
-def test_absorption_too_strong_to_represent_names_tau_d():
-    with pytest.raises(ValueError, match="tau_d"):
-        extract_gate(ZenoProtocol.absorption(1e-300))
+def test_absorption_is_finite_as_tau_d_vanishes():
+    # The |1,1> input freezes (survival 1) and the map is the target.
+    for tau_d in (1e-40, 1e-300, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = extract_gate(ZenoProtocol.absorption(tau_d))
+        assert report.success_probability_per_input == (1.0, 1.0, 1.0, 1.0)
+        assert np.max(np.abs(report.conditional_map - phased_sqrt_swap_matrix())) < 1e-15
 
 
 @settings(max_examples=40, deadline=None)
