@@ -176,11 +176,12 @@ def no_go_demo(statistics: str = "fermion") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_creation() -> np.ndarray:
+def _ladder(which: str) -> np.ndarray:
+    """Creation or annihilation matrix on the truncated ladder {|0>, |1>, |2>}."""
     m = np.zeros((3, 3), dtype=complex)
     m[1, 0] = 1.0
     m[2, 1] = math.sqrt(2.0)
-    return m
+    return m if which == "creation" else m.conj().T
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,7 @@ class DressedOperatorSpec:
             raise ValueError("tau_d must be positive")
 
     def schroedinger_matrix(self) -> np.ndarray:
-        adag = _ladder_creation()
-        return adag if self.which == "creation" else adag.conj().T
+        return _ladder(self.which)
 
     def generator_diagonal(self) -> np.ndarray:
         g = np.zeros(3, dtype=complex)
@@ -243,16 +243,36 @@ def dressed_operator(spec: DressedOperatorSpec, t: float) -> np.ndarray:
     return heisenberg_dress(spec.schroedinger_matrix(), spec.generator_diagonal(), t)
 
 
-def _embed(spec: DressedOperatorSpec, two_mode: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(schroedinger op, generator diagonal) on the working space."""
-    op = spec.schroedinger_matrix()
+def _embed_generator(spec: DressedOperatorSpec, two_mode: bool) -> np.ndarray:
+    """Generator diagonal of spec on the working space (9 levels at 3*n1+n2 when two_mode)."""
     g = spec.generator_diagonal()
     if not two_mode:
-        return op, g
-    eye = np.eye(3, dtype=complex)
-    if spec.mode == 1:
-        return np.kron(op, eye), np.repeat(g, 3)
-    return np.kron(eye, op), np.tile(g, 3)
+        return g
+    return np.repeat(g, 3) if spec.mode == 1 else np.tile(g, 3)
+
+
+@functools.cache
+def _product_triples(a_key: tuple[str, int], b_key: tuple[str, int]) -> tuple[np.ndarray, ...]:
+    """(i, j, k, 2 a_ij b_jk) over the triples with a_ij b_jk != 0, read-only.
+
+    Keys are (which, mode).  The Schroedinger matrices do not depend on
+    tau_d, so each ordered pair is tabled once; only these triples
+    contribute to the product.
+    """
+    two_mode = a_key[1] != b_key[1]
+    ops = []
+    for which, mode in (a_key, b_key):
+        op = _ladder(which)
+        if two_mode:
+            eye = np.eye(3, dtype=complex)
+            op = np.kron(op, eye) if mode == 1 else np.kron(eye, op)
+        ops.append(op)
+    op_a, op_b = ops
+    i, j, k = np.nonzero(op_a[:, :, None] * op_b[None, :, :])
+    table = (i, j, k, 2.0 * op_a[i, j] * op_b[j, k])
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def _phi1(x: np.ndarray) -> np.ndarray:
@@ -285,40 +305,6 @@ def _exp_divided_difference(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.where(near, ((y1 @ _TAYLOR) * y2).sum(axis=1), far)
 
 
-def _operands(a: DressedOperatorSpec, b: DressedOperatorSpec):
-    """(op_a, op_b, alpha, beta): the matrices of A B and their real exponent tables.
-
-    Same-fiber products act on the 3-level ladder, cross-fiber products on
-    the 9-dimensional two-mode space, where the full two-fiber generator
-    dresses both operators.
-    """
-    two_mode = a.mode != b.mode
-    if not two_mode and a.tau_d != b.tau_d:
-        raise ValueError("same-fiber operators must share tau_d")
-    op_a, gen_a = _embed(a, two_mode)
-    op_b, gen_b = _embed(b, two_mode)
-    if two_mode:
-        gen_a = gen_b = gen_a + gen_b
-    return op_a, op_b, _exponents(gen_a).real, _exponents(gen_b).real
-
-
-def _nonzero_triples(op_a: np.ndarray, op_b: np.ndarray):
-    """(i, j, k, 2 a_ij b_jk) over the triples with a_ij b_jk != 0, the only ones that contribute."""
-    i, j, k = np.nonzero(op_a[:, :, None] * op_b[None, :, :])
-    return i, j, k, 2.0 * op_a[i, j] * op_b[j, k]
-
-
-def _nodes(alpha: np.ndarray, beta: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (alpha tau, (alpha + beta) tau) of the divided difference.
-
-    Exponents are floored at -max/4 per unit tau so that no sum of two
-    overflows; e^x and phi1(x) are both below 1e-307 there.
-    """
-    floor = -np.finfo(float).max / 4 / max(tau, 1.0)
-    x1 = tau * np.maximum(alpha, floor)
-    return x1, x1 + tau * np.maximum(beta, floor)
-
-
 def time_averaged_product(a: DressedOperatorSpec, b: DressedOperatorSpec, tau: float) -> np.ndarray:
     """Time-averaged ordered product of two dressed operators over [0, tau].
 
@@ -331,44 +317,43 @@ def time_averaged_product(a: DressedOperatorSpec, b: DressedOperatorSpec, tau: f
     395 (1978)).  Same-fiber products act on the 3-level ladder,
     cross-fiber products on the 9-dimensional two-mode space.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
-    op_a, op_b, alpha, beta = _operands(a, b)
-    i, j, k, coef = _nonzero_triples(op_a, op_b)
-    x1, x2 = _nodes(alpha[i, j], beta[j, k], tau)
-    out = np.zeros_like(op_a)
-    np.add.at(out, (i, k), coef * _exp_divided_difference(x1, x2))
+    (out,) = _time_averaged_products([(a, b)], tau)
     return out
 
 
-# The ordered products of anticommutator_report: A A^dag and A^dag A on
-# fiber 1, then A_1 A_2^dag and A_2^dag A_1 across the fibers.
-_REPORT_PRODUCTS = (
-    (("annihilation", 1), ("creation", 1)),
-    (("creation", 1), ("annihilation", 1)),
-    (("annihilation", 1), ("creation", 2)),
-    (("creation", 2), ("annihilation", 1)),
-)
+def _time_averaged_products(pairs, tau: float) -> list[np.ndarray]:
+    """:func:`time_averaged_product` of each (a, b) in pairs.
 
-
-@functools.cache
-def _report_table() -> tuple[np.ndarray, ...]:
-    """Nonzero triples of the four report products, concatenated and read-only.
-
-    Rows are (product, i, k, 2 a_ij b_jk, count_ij, count_jk).  Every
-    exponent of the report is a count times the rate -1/(2 tau_d), the
-    count being how many doubly occupied levels the element's two indices
-    hold, so the table is read off at unit rate (tau_d = 1/2) once.
+    The divided differences of all pairs are taken in one call, so a batch
+    costs little more than a single product.
     """
-    columns = []
-    for p, (a_key, b_key) in enumerate(_REPORT_PRODUCTS):
-        op_a, op_b, alpha, beta = _operands(DressedOperatorSpec(*a_key, 0.5), DressedOperatorSpec(*b_key, 0.5))
-        i, j, k, coef = _nonzero_triples(op_a, op_b)
-        columns.append((np.full(i.size, p), i, k, coef, -alpha[i, j].astype(int), -beta[j, k].astype(int)))
-    table = tuple(np.concatenate(c) for c in zip(*columns))
-    for a in table:
-        a.setflags(write=False)
-    return table
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    terms = []
+    for a, b in pairs:
+        two_mode = a.mode != b.mode
+        if not two_mode and a.tau_d != b.tau_d:
+            raise ValueError("same-fiber operators must share tau_d")
+        i, j, k, coef = _product_triples((a.which, a.mode), (b.which, b.mode))
+        decay_a, decay_b = _embed_generator(a, two_mode).imag, _embed_generator(b, two_mode).imag
+        with np.errstate(over="ignore"):  # a rate that overflows to -inf is floored below
+            if two_mode:
+                decay_a = decay_b = decay_a + decay_b  # full two-fiber generator dresses both operators
+            # alpha_ij and beta_jk, the real parts of the _exponents tables, at the triples only.
+            terms.append((decay_a.size, i, k, coef, decay_a[i] + decay_a[j], decay_b[j] + decay_b[k]))
+    sizes, i, k, coef, alpha, beta = zip(*terms)
+    # Nodes are floored at -max/4 so that no sum of two overflows; e^x and
+    # phi1(x) are both below 1e-307 there.
+    floor = -np.finfo(float).max / 4 / max(tau, 1.0)
+    x1 = tau * np.maximum(np.concatenate(alpha), floor)
+    x2 = x1 + tau * np.maximum(np.concatenate(beta), floor)
+    values = np.concatenate(coef) * _exp_divided_difference(x1, x2)
+    outs = []
+    for size, ii, kk, v in zip(sizes, i, k, np.split(values, np.cumsum([c.size for c in coef])[:-1])):
+        out = np.zeros((size, size), dtype=complex)
+        np.add.at(out, (ii, kk), v)
+        outs.append(out)
+    return outs
 
 
 ALLOWED_TWO_MODE_INDICES = (0, 1, 3, 4)  # (0,0), (0,1), (1,0), (1,1) at 3*n1+n2
@@ -399,23 +384,16 @@ def anticommutator_report(tau_d: float, tau: float) -> AnticommutatorReport:
     """
     if not tau_d < tau:
         raise ValueError("requires tau_d < tau")
-    if not tau_d > 0:
-        raise ValueError("tau_d must be positive")
-    if not tau < math.inf:
-        raise ValueError("tau must be positive and finite")
-    product, i, k, coef, count_a, count_b = _report_table()
-    # Exponent of count c: -c/(2 tau_d).  The rate is inf below about
-    # tau_d = 2.8e-309, so count 0 is a literal 0.0 (0 * inf is NaN).
-    with np.errstate(over="ignore"):
-        rate = np.float64(0.5) / tau_d
-        levels = np.array([0.0, -rate, -2 * rate, -3 * rate, -4 * rate])
-    x1, x2 = _nodes(levels[count_a], levels[count_b], tau)
-    out = np.zeros((len(_REPORT_PRODUCTS), 9, 9), dtype=complex)
-    np.add.at(out, (product, i, k), coef * _exp_divided_difference(x1, x2))
-    anti = out[0, :3, :3] + out[1, :3, :3]
+    ann = DressedOperatorSpec("annihilation", 1, tau_d)
+    cre = DressedOperatorSpec("creation", 1, tau_d)
+    cre2 = DressedOperatorSpec("creation", 2, tau_d)
+    ann_cre, cre_ann, ann_cre2, cre2_ann = _time_averaged_products(
+        [(ann, cre), (cre, ann), (ann, cre2), (cre2, ann)], tau
+    )
+    anti = ann_cre + cre_ann
     deviation = float(np.max(np.abs(anti[:2, :2] - np.eye(2))))
     idx = list(ALLOWED_TWO_MODE_INDICES)
-    cross = (out[2] - out[3])[np.ix_(idx, idx)]
+    cross = (ann_cre2 - cre2_ann)[np.ix_(idx, idx)]
     return AnticommutatorReport(
         anticommutator=anti,
         anticommutator_deviation=deviation,

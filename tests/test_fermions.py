@@ -12,6 +12,7 @@ from zenogate.fock import coupling_hamiltonian, enumerate_basis, matrix_exponent
 from zenogate.fermions import (
     DressedOperatorSpec,
     _exp_divided_difference,
+    _product_triples,
     anticommutator_report,
     compare_to_zeno_photons,
     device_phased_swap,
@@ -354,7 +355,7 @@ def test_divided_difference_matches_gauss_oracle(x1, gap):
     assert got == pytest.approx(gauss_divided_difference(x1, x2), rel=1e-13)
 
 
-@pytest.mark.parametrize("tau_d", [1e-6, 1e-12, 1e-300, 5e-324])
+@pytest.mark.parametrize("tau_d", [1e-6, 1e-12, 1e-300, 3e-309, 5e-324])
 def test_report_is_finite_as_tau_d_vanishes(tau_d):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -371,8 +372,8 @@ def test_report_is_finite_as_tau_d_vanishes(tau_d):
 
 @pytest.mark.parametrize("tau_d", [1e-2, 1e-6, 1e-300, 5e-324])
 def test_report_matches_per_product_averages_bit_for_bit(tau_d):
-    # The report evaluates its four products from one shared table; each
-    # must be exactly what time_averaged_product gives on its own.
+    # The report averages its four products in one batch; each must be
+    # exactly what time_averaged_product gives on its own.
     tau = 1.0
     ann, cre = DressedOperatorSpec("annihilation", 1, tau_d), DressedOperatorSpec("creation", 1, tau_d)
     cre2 = DressedOperatorSpec("creation", 2, tau_d)
@@ -382,6 +383,20 @@ def test_report_matches_per_product_averages_bit_for_bit(tau_d):
     rep = anticommutator_report(tau_d, tau)
     assert np.array_equal(rep.anticommutator, anti)
     assert np.array_equal(rep.cross_commutator, cross[np.ix_(idx, idx)])
+
+
+def test_product_triples_are_shared_across_tau_d():
+    # The nonzero triples of each ordered pair are tabled once, read-only;
+    # a product must not depend on which tau_d was averaged before it.
+    specs = [
+        (DressedOperatorSpec("annihilation", 1, tau_d), DressedOperatorSpec("creation", 2, tau_d))
+        for tau_d in (1e-2, 0.3, 1e-2)
+    ]
+    first, other, again = (time_averaged_product(a, b, 1.0) for a, b in specs)
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
+    for arr in _product_triples(("annihilation", 1), ("creation", 2)):
+        assert not arr.flags.writeable
 
 
 def test_report_memory_is_bounded():
