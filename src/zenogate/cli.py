@@ -154,7 +154,7 @@ def cmd_rate(args) -> str:
 
 def cmd_threshold(args) -> str:
     rows = threshold_sweep(args.p_values, args.trials, args.seed)
-    columns = ["p", "analytic", "exact_tree", "mc_estimate", "mc_stderr", "trials", "seed"]
+    columns = ["p", "analytic", "exact_tree", "mc_estimate", "mc_stderr", "mc_low", "mc_high", "trials", "seed"]
     return _table_document(
         "threshold",
         {

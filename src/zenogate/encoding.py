@@ -11,16 +11,28 @@ order the logical failure probability is 4 p^2, so the scheme improves
 things exactly when p < 1/4, and concatenating levels squares the gain.
 
 Only the classical failure/success event algebra is tracked here -- no
-quantum state, since the threshold argument is purely combinatorial.
+quantum state, since the threshold argument is purely combinatorial.  The
+Monte Carlo check draws event counts, not trials: at each stage the number
+of failed physical CNOTs among the trials still alive, then the number of
+those whose first and second corrections fail, each a binomial draw with
+probability p.  Its cost does not depend on the trial count, and it never
+uses the closed-form tree probability it is checked against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest trial count: the int64 limit of ``Generator.binomial``.
+MAX_TRIALS = 2**63 - 1
+
+# Two-sided 95% normal quantile of the Wilson score interval.
+WILSON_Z = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -29,6 +41,8 @@ class ThresholdReport:
     exact_tree_p_logical: float
     mc_estimate: float
     mc_stderr: float
+    mc_low: float
+    mc_high: float
     trials: int
     seed: int | tuple[int, ...]
 
@@ -47,50 +61,80 @@ def exact_tree_failure(p: float) -> float:
 
     Each physical CNOT is one stage: it fails with p, and a failed stage
     causes a logical failure unless both corrective CNOTs succeed, so a
-    stage is fatal with f = p (1 - (1-p)^2).  Two independent stages give
-    1 - (1 - f)^2.  Agrees with 4 p^2 up to O(p^3).
+    stage is fatal with f = p (1 - (1-p)^2) = p^2 (2 - p).  Two independent
+    stages give 1 - (1 - f)^2 = f (2 - f).  The product forms keep full
+    relative precision at small p, where the differences from 1 cancel.
+    Agrees with 4 p^2 up to O(p^3).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    f = p * (1.0 - (1.0 - p) ** 2)
-    return 1.0 - (1.0 - f) ** 2
+    f = p * p * (2.0 - p)
+    return f * (2.0 - f)
 
 
-# Rows of draws per chunk: the stream is the same as one (trials, 6) array,
-# but memory stays bounded whatever the trial count.
-CHUNK_ROWS = 2**16
+def _check_trials(trials) -> int:
+    if isinstance(trials, bool):
+        raise ValueError("trials must be an integer, not a bool")
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, 2**63 - 1], got {trials}")
+    return trials
+
+
+def _wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for ``failures`` out of ``trials``.
+
+    Computed for the smaller of the two counts m and reflected, with the
+    lower end written as m^2 / (n (m + z^2/2 + z s)) so that it has no
+    cancellation: a count of 0 gives a lower end of exactly 0 (and a count
+    of n an upper end of exactly 1) with a nonzero width.
+    """
+    m = min(failures, trials - failures)
+    z = WILSON_Z
+    spread = z * math.sqrt(m * (trials - m) / trials + z * z / 4.0)
+    low = m * m / (trials * (m + z * z / 2.0 + spread))
+    high = (m + z * z / 2.0 + spread) / (trials + z * z)
+    return (low, high) if m == failures else (1.0 - high, 1.0 - low)
 
 
 def monte_carlo_logical_failure(p: float, trials: int, seed: int | tuple[int, ...]) -> ThresholdReport:
-    """Sample the event tree with a PCG64 generator seeded by ``seed``.
+    """Sample the event tree's failure count with a PCG64 generator seeded by ``seed``.
 
-    Stage 1: the first physical CNOT fails with probability p; on failure
-    the two corrective CNOTs each fail with probability p and either one is
-    a terminal logical failure.  Stage 2 repeats the structure for the
-    second physical CNOT.  Draws come in chunks of ``CHUNK_ROWS`` trials.
+    Stage 1 draws the number of failed first physical CNOTs among the
+    ``trials``, f1 ~ Binomial(trials, p); of those, c1 ~ Binomial(f1, p)
+    have a failed first correction and c2 ~ Binomial(f1 - c1, p) a failed
+    second one, and c1 + c2 trials fail.  Stage 2 repeats this for the
+    second physical CNOT on the trials still alive.  The total is
+    Binomial(trials, P_tree) in distribution, drawn with six binomial draws
+    whatever ``trials`` is.  ``trials`` is an integer in [1, 2**63 - 1].
+    ``mc_low`` and ``mc_high`` bound the estimate by the 95% Wilson score
+    interval, which stays nonzero in width at a count of 0 or ``trials``.
     ``seed`` is an int or a tuple of ints (the entropy of
     ``np.random.default_rng``).  Same seed, same report, bit for bit.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _check_trials(trials)
     rng = np.random.default_rng(seed)
     failures = 0
-    for start in range(0, trials, CHUNK_ROWS):
-        draws = rng.random((min(CHUNK_ROWS, trials - start), 6))
-        fail1 = draws[:, 0] < p
-        stage1_fatal = fail1 & ((draws[:, 1] < p) | (draws[:, 2] < p))
-        fail2 = draws[:, 3] < p
-        stage2_fatal = fail2 & ((draws[:, 4] < p) | (draws[:, 5] < p))
-        failures += int(np.count_nonzero(stage1_fatal | stage2_fatal))
+    for _stage in range(2):
+        failed = rng.binomial(trials - failures, p)
+        first = rng.binomial(failed, p)
+        second = rng.binomial(failed - first, p)
+        failures += first + second
     estimate = failures / trials
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / trials)
+    low, high = _wilson_interval(failures, trials)
     return ThresholdReport(
         analytic_p_logical=4.0 * p * p,
         exact_tree_p_logical=exact_tree_failure(p),
         mc_estimate=estimate,
         mc_stderr=stderr,
+        mc_low=low,
+        mc_high=high,
         trials=trials,
         seed=seed,
     )
@@ -131,7 +175,9 @@ def threshold_sweep(p_values, trials: int, seed: int) -> list[dict]:
                 "exact_tree": report.exact_tree_p_logical,
                 "mc_estimate": report.mc_estimate,
                 "mc_stderr": report.mc_stderr,
-                "trials": trials,
+                "mc_low": report.mc_low,
+                "mc_high": report.mc_high,
+                "trials": report.trials,
                 "seed": seed,
                 "below_threshold": analytic < p,
             }

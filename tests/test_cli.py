@@ -224,12 +224,29 @@ def test_threshold_csv(capsys):
     )
     assert code == 0
     lines = [line for line in out.strip().splitlines() if not line.startswith("#")]
-    assert lines[0] == "p,analytic,exact_tree,mc_estimate,mc_stderr,trials,seed"
+    assert lines[0] == "p,analytic,exact_tree,mc_estimate,mc_stderr,mc_low,mc_high,trials,seed"
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(0.04, abs=1e-12)
     assert float(row[2]) == pytest.approx(0.037639, abs=1e-6)
     row25 = lines[2].split(",")
     assert float(row25[1]) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_threshold_rejects_trials_beyond_the_binomial_range(capsys):
+    for trials in ("10000000000000000000", "0"):
+        code, out, err = run(["threshold", "--p-values", "0.1", "--trials", trials], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: trials") and err.count("\n") == 1
+
+
+def test_threshold_zero_count_reports_a_nonzero_upper_bound(capsys):
+    code, out, _ = run(["threshold", "--p-values", "0", "--trials", "100000", "--format", "json"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    row = dict(zip(results["columns"], results["rows"][0]))
+    assert row["mc_estimate"] == 0 and row["mc_stderr"] == 0
+    assert row["mc_low"] == 0 and row["mc_high"] > 0
 
 
 def test_threshold_deterministic_across_runs(tmp_path):

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from zenogate.encoding import (
-    CHUNK_ROWS,
+    MAX_TRIALS,
     analytic_logical_failure,
     concatenate,
     exact_tree_failure,
@@ -149,13 +150,90 @@ def test_threshold_rows_draw_independent_streams():
     assert [row["seed"] for row in seed1] == [1, 1]
 
 
-def test_chunked_draws_match_one_array():
-    # Reference: the whole (trials, 6) stream drawn at once.
-    p, seed = 0.2, 99
-    trials = 2 * CHUNK_ROWS + 12345
+def per_trial_failures(p, trials, seed):
+    """Oracle sampler: six uniforms per trial, one row per trial of the tree.
+
+    Columns 0-2 are stage 1 (physical CNOT, two corrections) and 3-5 are
+    stage 2; a trial fails when a stage's CNOT and either correction fail.
+    """
     draws = np.random.default_rng(seed).random((trials, 6))
     stage1 = (draws[:, 0] < p) & ((draws[:, 1] < p) | (draws[:, 2] < p))
     stage2 = (draws[:, 3] < p) & ((draws[:, 4] < p) | (draws[:, 5] < p))
-    expected = int(np.count_nonzero(stage1 | stage2))
-    report = monte_carlo_logical_failure(p, trials, seed)
-    assert report.mc_estimate == expected / trials
+    return int(np.count_nonzero(stage1 | stage2))
+
+
+def test_event_counts_agree_with_per_trial_oracle():
+    # Two independent estimates of the same probability: their difference
+    # has variance 2 P (1 - P) / trials.
+    trials = 2 * 10**5
+    for i, p in enumerate((0.01, 0.1, 0.2, 0.25, 0.5, 0.9)):
+        tree = exact_tree_failure(p)
+        oracle = per_trial_failures(p, trials, 500 + i) / trials
+        report = monte_carlo_logical_failure(p, trials, 600 + i)
+        sigma = math.sqrt(2 * tree * (1 - tree) / trials)
+        assert abs(report.mc_estimate - oracle) < 4 * sigma, (p, report.mc_estimate, oracle)
+
+
+def test_event_counts_z_scores_over_seed_ensemble():
+    trials, seeds = 10**5, 2000
+    for p in (0.001, 0.05, 0.25):
+        tree = exact_tree_failure(p)
+        sigma = math.sqrt(tree * (1 - tree) / trials)
+        estimates = np.array([monte_carlo_logical_failure(p, trials, (31, s)).mc_estimate for s in range(seeds)])
+        z = (estimates - tree) / sigma
+        assert abs(z.mean()) < 0.1, (p, z.mean())
+        assert 0.9 <= z.std() <= 1.1, (p, z.std())
+
+
+def test_largest_trial_count_gives_a_finite_estimate_near_the_tree():
+    p = 0.1
+    report = monte_carlo_logical_failure(p, MAX_TRIALS, 17)
+    tree = exact_tree_failure(p)
+    assert report.trials == 2**63 - 1
+    assert math.isfinite(report.mc_estimate)
+    assert abs(report.mc_estimate - tree) < 5 * math.sqrt(tree * (1 - tree) / MAX_TRIALS)
+    assert report.mc_low <= report.mc_estimate <= report.mc_high
+
+
+def test_trials_must_be_an_int_in_the_binomial_range():
+    for bad in (1e5, 100000.5, True, False, "10", None, 0, -1, 2**63):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_logical_failure(0.1, bad, 0)
+    assert monte_carlo_logical_failure(0.1, np.int64(1000), 0).trials == 1000
+    with pytest.raises(ValueError, match="trials"):
+        threshold_sweep([0.1], trials=2**63, seed=0)
+
+
+def test_wilson_interval_ends():
+    zero = monte_carlo_logical_failure(0.0, trials=10**4, seed=1)
+    assert zero.mc_estimate == 0.0 and zero.mc_stderr == 0.0
+    assert zero.mc_low == 0.0 and zero.mc_high > 0.0
+    one = monte_carlo_logical_failure(1.0, trials=10**4, seed=1)
+    assert one.mc_estimate == 1.0
+    assert one.mc_high == 1.0 and one.mc_low < 1.0
+    # Every end inside (0, 1) solves (k/n - q)^2 = z^2 q (1 - q) / n, for
+    # counts below and above n/2 (P_tree(0.9) = 0.98).
+    z = 1.959963984540054
+    middle = [monte_carlo_logical_failure(p, trials=10**4, seed=2) for p in (0.1, 0.9)]
+    for report in [zero, one] + middle:
+        for q in (report.mc_low, report.mc_high):
+            if 0.0 < q < 1.0:
+                lhs = (report.mc_estimate - q) ** 2
+                assert lhs == pytest.approx(z * z * q * (1 - q) / report.trials, rel=1e-9)
+
+
+def test_wilson_interval_contains_estimate_on_readme_grid():
+    for row in threshold_sweep((0.05, 0.1, 0.2, 0.25, 0.3), trials=10**5, seed=1):
+        assert 0.0 <= row["mc_low"] < row["mc_estimate"] < row["mc_high"] <= 1.0
+
+
+def test_exact_tree_against_mpmath_oracle():
+    # The literal 1 - (1 - f)^2 loses about |log10 f| digits to cancellation,
+    # 200 at p = 1e-100, so the oracle works at 450 digits.
+    with mpmath.workdps(450):
+        for p in np.logspace(-100, 0, 201):
+            q = mpmath.mpf(float(p))
+            f = q * (1 - (1 - q) ** 2)
+            want = 1 - (1 - f) ** 2
+            got = exact_tree_failure(float(p))
+            assert abs(mpmath.mpf(got) - want) <= 1e-13 * want, (p, got, want)
