@@ -224,11 +224,10 @@ def main(argv=None) -> int:
         print(f"error: {args.subcommand} only emits json", file=sys.stderr)
         return 2
     try:
-        text = args.func(args)
+        _write(args.out, args.func(args))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(args.out, text)
     return 0
 
 

@@ -7,8 +7,18 @@ physical CNOTs (control halves q1, q2 against the shared target half q1').
 If a physical CNOT fails with probability p, each failure measures two
 qubits and triggers two corrective CNOTs, each failing with probability p;
 a failed correction is terminal within the encoding level.  To leading
-order the logical failure probability is 4 p^2, so the scheme improves
-things exactly when p < 1/4, and concatenating levels squares the gain.
+order the logical failure probability is 4 p^2, below p when p < 1/4, and
+concatenating levels squares the gain.  Two thresholds follow:
+
+* 1/4 for the leading-order map p -> 4 p^2 (``analytic_logical_failure``,
+  ``concatenate`` and the ``below_threshold`` flag of ``threshold_sweep``);
+* p* = 0.328956393296 for the exact event tree P(p) = f (2 - f),
+  f = p^2 (2 - p) (``exact_tree_failure``), the root of P(p) = p in (1/4, 1/2).
+
+Between the two the models disagree about whether the encoding helps: at
+p = 0.3 the leading order gives 0.36 and the exact tree 0.2826.  The
+paper's abstract alone cannot tell whether its 1/4 is meant to leading
+order.
 
 Only the classical failure/success event algebra is tracked here -- no
 quantum state, since the threshold argument is purely combinatorial.  The
@@ -156,7 +166,10 @@ def threshold_sweep(p_values, trials: int, seed: int) -> list[dict]:
     """Rows of analytic / exact-tree / Monte Carlo failure per grid point.
 
     ``below_threshold`` records the sign of P_logical - P_physical for the
-    analytic column, which flips at p = 1/4.  Row i draws from its own
+    analytic column, the leading-order 4 p^2, which flips at p = 1/4; the
+    ``exact_tree`` column stays below p up to p* = 0.328956393296 (see the
+    module docstring), so the flag is the leading-order verdict on every
+    row.  ``mc_estimate`` samples the exact tree.  Row i draws from its own
     generator seeded by the pair (seed, i), so rows are independent of one
     another and of every other seed's rows, and a rerun is identical.  The
     ``seed`` column holds the base seed.

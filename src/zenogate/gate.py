@@ -17,6 +17,10 @@ With a pi/4 phase shifter per photon on each output port, the surviving
 (post-selected) evolution converges to a square-root-of-swap that carries
 an extra factor i on |1,1>.  Squaring it gives a swap with a sign flip on
 |1,1>, which composed with a plain mode interchange is a controlled-Z.
+
+:func:`extract_gate` and :func:`error_curve` read the closed forms of
+:mod:`zenogate.exact` and build no state vector; the runners are the
+propagator route, which the tests compare with the closed forms.
 """
 
 from __future__ import annotations
@@ -28,17 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import StateVector
+from .exact import HALF_TRANSFER_TIME, OUTPUT_PHASE_PER_PHOTON, _ROUNDOFF_WEIGHT
+from .exact import absorption_survivor, discrete_survivor, one_photon_column
 from .fock import FockBasis, FockState, coupling_hamiltonian, enumerate_basis
-
-HALF_TRANSFER_TIME = math.pi / 4
-OUTPUT_PHASE_PER_PHOTON = math.pi / 4
 
 # Computational basis |q1 q2> <-> photon occupations (q1, q2), in the fixed
 # order used by every 4x4 matrix in this module.
 COMPUTATIONAL_OCCUPATIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-# A survivor lighter than the roundoff of a unit-norm state is no survivor.
-_ROUNDOFF_WEIGHT = float(np.finfo(float).eps)
 
 
 @functools.cache
@@ -93,13 +93,12 @@ class ZenoProtocol:
     tau_d: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("discrete", "absorption"):
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
         if self.kind == "discrete":
             _check_count(self.n_measurements)
-        else:
-            if self.tau_d is None or not self.tau_d > 0:
-                raise ValueError("absorption protocol needs tau_d > 0")
+        elif self.kind != "absorption":
+            raise ValueError(f"unknown protocol kind {self.kind!r}")
+        elif self.tau_d is None or not self.tau_d > 0:
+            raise ValueError("absorption protocol needs tau_d > 0")
 
     @classmethod
     def discrete(cls, n: int) -> "ZenoProtocol":
@@ -119,12 +118,13 @@ def _check_count(n) -> None:
 class GateReport:
     """Extracted gate: post-selected map plus per-input success bookkeeping.
 
-    ``conditional_map`` columns are the renormalized surviving states of the
-    four computational inputs (order |00>, |01>, |10>, |11>), projected onto
-    the computational basis.  Success probabilities are reported separately
-    so conditional and unconditional claims stay independently testable.
-    ``leakage`` is the largest per-input probability of ending outside the
-    computational basis (absorbed plus residual double occupancy).
+    ``conditional_map`` columns are the renormalized survivors of the inputs
+    |00>, |01>, |10>, |11> on the computational basis.  ``error_probability``
+    is the weight |11> loses; ``leakage`` the largest per-input probability
+    of ending outside the computational basis (absorbed plus residual double
+    occupancy).  ``fidelity_to_target`` is computed after post-selection, on
+    the renormalized map, so it cannot see the Zeno error: it is 1 for every
+    N >= 2, where the |11> survivor is pure |11>, and 0.75 at N = 1.
     """
 
     conditional_map: np.ndarray
@@ -135,50 +135,15 @@ class GateReport:
 
 
 def closed_form_error(n: int) -> float:
-    """P_E(N) = 1 - cos^(2N)(pi/2N) for N equally spaced checks."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 1.0 - math.cos(math.pi / (2 * n)) ** (2 * n)
+    """P_E(N) = 1 - cos^(2N)(pi/2N) for N checks, from :func:`~zenogate.exact.discrete_survivor`."""
+    _check_count(n)
+    return discrete_survivor(n)[2]
 
 
 def apply_output_phase(psi: StateVector) -> StateVector:
     """pi/4 phase shifter on each output port: amplitude *= exp(i pi/4 n_total)."""
     totals = np.array([s.total for s in psi.basis.states])
     return StateVector(psi.basis, psi.amplitudes * np.exp(1j * OUTPUT_PHASE_PER_PHOTON * totals))
-
-
-def _absorption_block(tau_d: float, t: float) -> tuple[complex, complex]:
-    """Not-yet-absorbed amplitudes of |1,1> on (|1,1>, bright) after time t.
-
-    In the two-photon sector the dark state (|2,0> - |0,2>)/sqrt2 only
-    decays, and |1,1> has no part in it.  |1,1> and the bright state
-    (|2,0> + |0,2>)/sqrt2 span the block A = -i t [[0, 2], [2, -i/(2 tau_d)]],
-    whose exponential is e^mu (cosh d I + sinh(d)/d (A - mu I)) with
-    mu = -t/(4 tau_d) and d^2 = mu^2 - 4 t^2 (D. S. Bernstein and W. So,
-    IEEE TAC 38, 1228 (1993)).  For d > 1 it is written through
-    e^(mu +- d) with mu + d = 4 t^2/(mu - d) = -16 t tau_d/(1 + s) and
-    s = d/|mu| = sqrt(1 - 64 tau_d^2), which is finite for every
-    tau_d > 0; otherwise d is at most 1 or imaginary (tau_d > 1/8) and
-    cosh d and sinh(d)/d are evaluated as they stand.
-    """
-    rho = 1.0 / (4.0 * tau_d)  # -mu/t: 0 at tau_d = inf, inf below about 1e-308
-    # rho - 2, without cancellation near the exceptional point tau_d = 1/8
-    # and without inf * 0 at tau_d = inf
-    gap = (1.0 - 8.0 * tau_d) * rho if tau_d < 1.0 else rho - 2.0
-    d_sq = t * t * gap * (rho + 2.0)
-    if d_sq > 1.0:
-        s = math.sqrt((1.0 - 8.0 * tau_d) * (1.0 + 8.0 * tau_d))
-        e_plus = math.exp(-16.0 * t * tau_d / (1.0 + s))
-        e_minus = math.exp(-t * rho * (1.0 + s))
-        diff = e_plus - e_minus
-        return 0.5 * (e_plus + e_minus) + 0.5 * diff / s, -4j * tau_d * diff / s
-    r = math.sqrt(abs(d_sq))
-    if d_sq >= 0.0:
-        cosh, sinhc = math.cosh(r), (math.sinh(r) / r if r > 0.0 else 1.0)
-    else:
-        cosh, sinhc = math.cos(r), math.sin(r) / r
-    decay = math.exp(-t * rho)
-    return decay * (cosh + t * rho * sinhc), -2j * t * decay * sinhc
 
 
 def _evolve(
@@ -196,8 +161,9 @@ def _evolve(
     and succeeds with probability exactly 1.0.  In the two-photon sector the
     only kept state is |1,1>, so ``n`` checks give (P U_step)^n |1,1> =
     U_kk^n |1,1> with U_kk = <1,1| V diag(exp(-i t w / n)) V^dag |1,1>, and
-    absorption of decay time ``tau_d`` is :func:`_absorption_block`.  A
-    survivor lighter than ``_ROUNDOFF_WEIGHT`` counts as none.
+    absorption of decay time ``tau_d`` is the closed-form block of
+    :func:`~zenogate.exact.absorption_survivor`.  A survivor lighter than
+    ``_ROUNDOFF_WEIGHT`` counts as none.
     """
     occupations = tuple(occupations)
     if occupations not in COMPUTATIONAL_OCCUPATIONS:
@@ -217,7 +183,7 @@ def _evolve(
         step = 1.0 + complex(weights @ np.expm1(-1j * (interaction_time / n) * sector.energies))
         amps[sector.indices[k]] = step ** int(n)
     else:
-        kept, bright = _absorption_block(tau_d, interaction_time)
+        kept, bright, _ = absorption_survivor(tau_d, interaction_time)
         amps[sector.indices] = np.where(sector.kept, kept, bright / math.sqrt(2.0))
     success = float(np.vdot(amps, amps).real)
     if success < _ROUNDOFF_WEIGHT:
@@ -253,13 +219,12 @@ def run_absorption_protocol(tau_d: float, input_state: FockState) -> tuple[State
 
 
 def error_curve(kind: str, n_values) -> list[tuple[float, float]]:
-    """(N, P_E) rows for either protocol family.
+    """(N, P_E) rows for either protocol family over t = pi/4, from the closed forms.
 
-    Both run over the half-transfer time t = pi/4.  For the absorption
-    family the abscissa is the matched measurement count N = t / (4 tau_d),
-    i.e. each grid point N runs tau_d = t / (4 N); the error is the
-    absorbed probability.  Discrete N must be an integer >= 1, absorption
-    N positive and finite.
+    For the absorption family the abscissa is the matched measurement count
+    N = t / (4 tau_d), and the error is the absorbed probability at
+    tau_d = t / (4 N).  Discrete N must be an integer >= 1, absorption N
+    positive and finite.
     """
     values = list(n_values)
     if not values:
@@ -269,53 +234,36 @@ def error_curve(kind: str, n_values) -> list[tuple[float, float]]:
     rows = []
     for n in values:
         if kind == "discrete":
-            _, survival = run_discrete_protocol(n, FockState((1, 1)))
+            error = closed_form_error(n)
         else:
             if not 0 < n < math.inf:
                 raise ValueError(f"the absorption protocol needs a positive finite matched N, got {n}")
-            tau_d = HALF_TRANSFER_TIME / (4.0 * float(n))
-            _, survival = run_absorption_protocol(tau_d, FockState((1, 1)))
-        rows.append((float(n), 1.0 - survival))
+            error = absorption_survivor(HALF_TRANSFER_TIME / (4.0 * float(n)))[2]
+        rows.append((float(n), error))
     return rows
 
 
 def extract_gate(protocol: ZenoProtocol) -> GateReport:
-    """Run the protocol on all four computational inputs and assemble the map.
+    """The protocol's map on the four computational inputs, output phases applied.
 
-    Output phases are applied before reading off amplitudes.  Fidelity is
-    the phase-insensitive trace overlap |tr(M^dag T)| / 4 against the ideal
-    phased square-root-of-swap target.
+    |00> is untouched, a single photon stays or hops (:mod:`zenogate.exact`
+    gives each amplitude), and |11> keeps the protocol's kept amplitude times
+    the two-photon output phase i.  Fidelity is the phase-insensitive trace
+    overlap |tr(M^dag T)| / 4 against the phased square-root-of-swap T.
     """
-    basis = gate_basis()
-    comp_indices = [basis.index_of(occ) for occ in COMPUTATIONAL_OCCUPATIONS]
-    m = np.zeros((4, 4), dtype=complex)
-    successes = []
-    leakage = 0.0
-    for col, occ in enumerate(COMPUTATIONAL_OCCUPATIONS):
-        amps, p = _evolve(occ, HALF_TRANSFER_TIME, protocol.n_measurements, protocol.tau_d)
-        successes.append(p)
-        if p == 0.0:
-            leakage = max(leakage, 1.0)
-            continue
-        state = apply_output_phase(StateVector(basis, amps / math.sqrt(p)))
-        column = state.amplitudes[comp_indices]
-        m[:, col] = column
-        in_basis = float(np.sum(np.abs(column) ** 2))
-        leakage = max(leakage, 1.0 - p * in_basis)
-    target = phased_sqrt_swap_matrix()
-    fidelity = float(abs(np.trace(m.conj().T @ target)) / 4.0)
-    return GateReport(
-        conditional_map=m,
-        success_probability_per_input=tuple(successes),
-        error_probability=1.0 - successes[3],
-        fidelity_to_target=fidelity,
-        leakage=leakage,
-    )
+    stay, hop = one_photon_column()
+    if protocol.kind == "discrete":
+        kept, bright, lost = discrete_survivor(protocol.n_measurements)
+    else:
+        kept, bright, lost = absorption_survivor(protocol.tau_d)
+    survival, leakage = kept * kept + abs(bright) ** 2, lost + abs(bright) ** 2
+    frozen = 1j * kept / math.sqrt(survival) if survival else 0.0
+    m = np.array([[1, 0, 0, 0], [0, stay, hop, 0], [0, hop, stay, 0], [0, 0, 0, frozen]], dtype=complex)
+    fidelity = float(abs(np.vdot(m, phased_sqrt_swap_matrix()))) / 4.0
+    return GateReport(m, (1.0, 1.0, 1.0, survival), lost, fidelity, leakage)
 
 
-# ---------------------------------------------------------------------------
 # Ideal 4x4 matrices on the computational basis |00>, |01>, |10>, |11>
-# ---------------------------------------------------------------------------
 
 
 def phased_sqrt_swap_matrix() -> np.ndarray:
@@ -324,62 +272,21 @@ def phased_sqrt_swap_matrix() -> np.ndarray:
     The i is the residue of the pi/4-per-photon output phase acting on the
     Zeno-frozen two-photon input.
     """
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
-            [0, (1 - 1j) / 2, (1 + 1j) / 2, 0],
-            [0, 0, 0, 1j],
-        ],
-        dtype=complex,
-    )
+    a, b = (1 + 1j) / 2, (1 - 1j) / 2
+    return np.array([[1, 0, 0, 0], [0, a, b, 0], [0, b, a, 0], [0, 0, 0, 1j]], dtype=complex)
 
 
 def phased_swap_matrix() -> np.ndarray:
     """Square of the device gate: swap with a -1 on |11>."""
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, -1],
-        ],
-        dtype=complex,
-    )
+    return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)[[0, 2, 1, 3]]
 
 
 def swap_matrix() -> np.ndarray:
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+    return np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def controlled_z_matrix() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
-def hadamard_on_target() -> np.ndarray:
-    """I (x) H on the two-qubit computational basis."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    return np.kron(np.eye(2), h)
-
-
-def cnot_matrix() -> np.ndarray:
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-        ],
-        dtype=complex,
-    )
 
 
 def compose_controlled_z() -> np.ndarray:
@@ -391,9 +298,7 @@ def compose_controlled_z() -> np.ndarray:
     return swap_matrix() @ phased_swap_matrix()
 
 
-# ---------------------------------------------------------------------------
 # Reference curves
-# ---------------------------------------------------------------------------
 
 
 def _return_probability_curve(times, occupations) -> list[tuple[float, float]]:

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,8 +132,22 @@ def test_gate_at_vanishing_tau_d(capsys):
     matrix = np.array(results["conditional_map"])
     assert np.all(np.isfinite(matrix))
     assert list(results["success_probability_per_input"].values()) == [1.0, 1.0, 1.0, 1.0]
-    assert results["error_probability"] == 0.0
+    # the absorbed probability is 4 pi tau_d to leading order, a normal double
+    absorbed = 4 * mpmath.pi * mpmath.mpf(1e-300)
+    assert abs(results["error_probability"] - absorbed) <= 1e-13 * absorbed
     assert matrix[3, 3].tolist() == pytest.approx([0.0, 1.0], abs=1e-15)
+
+
+def test_unwritable_out_is_an_error_line(tmp_path, capsys):
+    code, out, err = run(["rabi", "--steps", "3", "--out", str(tmp_path / "missing" / "rabi.csv")], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_hom_rejects_a_single_step(capsys):
+    code, _, err = run(["hom", "--steps", "1"], capsys)
+    assert code == 2
+    assert "steps" in err
 
 
 def test_readme_commands_leave_scipy_unimported():

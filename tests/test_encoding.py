@@ -237,3 +237,21 @@ def test_exact_tree_against_mpmath_oracle():
             want = 1 - (1 - f) ** 2
             got = exact_tree_failure(float(p))
             assert abs(mpmath.mpf(got) - want) <= 1e-13 * want, (p, got, want)
+
+
+def test_exact_tree_threshold_is_p_star_not_a_quarter():
+    # exact_tree_failure(p) - p changes sign once on [0.3289, 0.3290]; bisect it in double.
+    lo, hi = 0.3289, 0.3290
+    assert exact_tree_failure(lo) < lo and exact_tree_failure(hi) > hi
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exact_tree_failure(mid) < mid else (lo, mid)
+    with mpmath.workdps(50):
+        def gap(p):
+            f = p * p * (2 - p)
+            return f * (2 - f) - p
+
+        root = mpmath.findroot(gap, mpmath.mpf("0.329"))
+    assert abs(lo - root) <= 1e-15 * root
+    assert f"{lo:.12f}" == "0.328956393296"  # the value the docstrings and demo 07 quote
+    assert exact_tree_failure(0.3) < 0.3 < 4 * 0.3**2  # between 1/4 and p* the two models disagree

@@ -285,6 +285,12 @@ def test_time_averaged_reemission_matches_closed_form():
         assert aad[1, 1].real <= 2e-3
 
 
+@pytest.mark.parametrize("tau_d", [1.0, 2.0])
+def test_anticommutator_report_needs_tau_d_below_tau(tau_d):
+    with pytest.raises(ValueError, match="tau_d < tau"):
+        anticommutator_report(tau_d, 1.0)
+
+
 def test_anticommutator_report_bounds_and_scaling():
     tau = 1.0
     rep = anticommutator_report(0.01, tau)

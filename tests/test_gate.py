@@ -14,12 +14,10 @@ from zenogate.gate import (
     ZenoProtocol,
     apply_output_phase,
     closed_form_error,
-    cnot_matrix,
     compose_controlled_z,
     controlled_z_matrix,
     error_curve,
     extract_gate,
-    hadamard_on_target,
     hom_curve,
     phased_sqrt_swap_matrix,
     phased_swap_matrix,
@@ -293,6 +291,15 @@ def test_squared_gate_matches_phased_swap():
 
 def test_compose_controlled_z_is_exact():
     assert np.array_equal(compose_controlled_z(), controlled_z_matrix())
+
+
+def hadamard_on_target() -> np.ndarray:
+    """I (x) H on the two-qubit computational basis."""
+    return np.kron(np.eye(2), np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+
+
+def cnot_matrix() -> np.ndarray:
+    return np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
 def test_controlled_z_with_hadamards_gives_cnot():
